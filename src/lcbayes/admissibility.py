@@ -77,8 +77,8 @@ def is_epsilon_dominated(query: DominationQuery) -> Tuple[bool, Optional[Procedu
         return False, None
     if query.challenger_class != ALL_RANDOMIZED:
         raise ValueError(f"unknown challenger class {query.challenger_class!r}")
-    epsilon_star, witness = max_uniform_improvement(query.problem, query.candidate)
     if query.epsilon > 0:
+        epsilon_star, witness = max_uniform_improvement(query.problem, query.candidate)
         if query.epsilon <= epsilon_star:
             return True, witness
         return False, None

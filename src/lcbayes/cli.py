@@ -25,8 +25,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .decision import (SchemaError, problem_from_json,
-                       procedure_to_json_dict, procedures_from_json)
+from .decision import (IndexOutOfRange, SchemaError, ShapeMismatch, check_procedure,
+                       problem_from_json, procedure_to_json_dict, procedures_from_json)
 from .families import (BernoulliBoundaryReport, NormalLocationReport,
                        bernoulli_boundary_report, normal_location_report)
 from .lcnum import LCNumber, LCParseError, NotNearStandard, evaluate
@@ -209,14 +209,22 @@ def _print_payload(payload, fmt: str):
 # ----------------------------------------------------------------------
 
 
+_INPUT_ERRORS = (OSError, SchemaError, IndexOutOfRange, ShapeMismatch)
+
+
+def _read_finite_inputs(args):
+    """The problem and its procedures, each checked against the problem."""
+    problem = problem_from_json(Path(args.problem).read_text())
+    procedures = procedures_from_json(Path(args.procedures).read_text())
+    for procedure in procedures:
+        check_procedure(problem, procedure)
+    return problem, procedures
+
+
 def _cmd_finite_classify(args, fmt: str) -> int:
     try:
-        problem = problem_from_json(Path(args.problem).read_text())
-        procedures = procedures_from_json(Path(args.procedures).read_text())
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except SchemaError as exc:
+        problem, procedures = _read_finite_inputs(args)
+    except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     reports = []
@@ -228,18 +236,9 @@ def _cmd_finite_classify(args, fmt: str) -> int:
 
 def _cmd_finite_synthesize(args, fmt: str) -> int:
     try:
-        problem = problem_from_json(Path(args.problem).read_text())
-        procedures = procedures_from_json(Path(args.procedures).read_text()) \
-            if args.procedures else None
-    except OSError as exc:
+        problem, procedures = _read_finite_inputs(args)
+    except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    if procedures is None:
-        print("error: --procedures file required to pick --procedure from",
-              file=sys.stderr)
         return EXIT_BAD_INPUT
     if args.procedure < 0 or args.procedure >= len(procedures):
         print(f"error: procedure index {args.procedure} out of range",

@@ -248,6 +248,12 @@ def _check_shapes(problem: FiniteProblem, procedure: Procedure):
                 raise ShapeMismatch("procedure row length must match actions")
 
 
+def check_procedure(problem: FiniteProblem, procedure: Procedure):
+    """Raise ShapeMismatch or IndexOutOfRange unless the procedure fits the problem."""
+    _check_shapes(problem, procedure)
+    procedure.matrix(problem.n_actions)
+
+
 def risk(problem: FiniteProblem, procedure: Procedure, state_index: int) -> Fraction:
     """Expected loss at one state, exact."""
     if state_index < 0 or state_index >= problem.n_states:

@@ -1,7 +1,11 @@
 """Exact-rational linear programming with verifiable certificates.
 
-Dense two-phase primal simplex over :class:`fractions.Fraction` with
-Bland's anti-cycling rule.  Every solve returns an exact certificate:
+Two-phase primal simplex with Bland's anti-cycling rule, pivoting
+fraction-free: each tableau row is a list of Python ints over one
+positive row denominator, so a pivot costs integer multiplications and
+one gcd per updated row instead of a Fraction per entry.  The
+reduced-cost row of each phase is priced once and then updated by every
+pivot like any other row.  Every solve returns an exact certificate:
 
 * ``OPTIMAL``  - primal and dual solutions with duality gap exactly 0,
 * ``INFEASIBLE`` - Farkas multipliers aggregating the constraints into
@@ -9,17 +13,21 @@ Bland's anti-cycling rule.  Every solve returns an exact certificate:
 * ``UNBOUNDED`` - a feasible point plus an improving ray.
 
 An independent checker, :func:`check_certificate`, re-validates each
-certificate from the original problem data; :func:`solve_lp` runs it
-before returning, so a returned solution is always verified.
+certificate in exact :class:`fractions.Fraction` arithmetic from the
+original problem data, sharing nothing with the integer tableau;
+:func:`solve_lp` runs it before returning, so a returned solution is
+always verified.
 
-The intended instances are tiny (tens of variables), so a dense exact
-tableau is the right trade: no tolerances, no conditioning questions.
+The intended instances are small (up to a few hundred columns), so a
+dense exact tableau is the right trade: no tolerances, no conditioning
+questions.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple, Union
@@ -240,131 +248,143 @@ class _Normalized:
         return tuple(out)
 
 
+def _lowest_terms(nums: list[int], den: int) -> Tuple[list[int], int]:
+    """Divide a row's numerators and its positive denominator by their gcd."""
+    g = math.gcd(den, *nums)
+    if g == 1:
+        return nums, den
+    return [a // g for a in nums], den // g
+
+
+def _eliminate(row: list[int], den: int, f: int,
+               pivot_row: list[int], pc: int) -> Tuple[list[int], int]:
+    """row/den minus (f/den) times the pivot row pivot_row/pc, in lowest terms."""
+    return _lowest_terms([a * pc - f * p for a, p in zip(row, pivot_row)], den * pc)
+
+
 class _Tableau:
+    """Fraction-free simplex tableau.
+
+    Row i is a list of Python ints: the numerators of its coefficients,
+    then the numerator of its right-hand side, all over the one positive
+    row denominator ``den[i]``.  A pivot rescales only the rows with a
+    nonzero entry in the entering column and leaves each in lowest terms,
+    so no per-entry Fraction is built.  The reduced-cost row z_j - c_j of
+    the running phase, with the objective value last, is stored the same
+    way over ``obj_den``: it is priced once when a phase starts and then
+    updated by each pivot like any other row.
+    """
+
     def __init__(self, norm: _Normalized):
         self.norm = norm
         m = norm.n_rows
-        self.matrix: list[list[Fraction]] = [list(row) for row in norm.rows]
-        self.b = list(norm.rhs)
         self.basis: list[int] = []
         self.row_ids = list(range(m))  # live tableau row -> internal row index
-        n_struct = norm.n_struct
 
-        # attach slack/surplus/artificial columns
-        self.slack_col_of_row: dict[int, int] = {}
+        # slack/surplus/artificial columns, as (row, column, value)
+        units: list[Tuple[int, int, int]] = []
         self.art_cols: set[int] = set()
         self.init_col_of_row: list[int] = [0] * m
-        col = n_struct
+        col = norm.n_struct
         for i in range(m):
             rel = norm.relations[i]
-            if rel == LEQ:
-                self._append_unit(i, col, Fraction(1))
-                self.slack_col_of_row[i] = col
-                self.init_col_of_row[i] = col
-                self.basis.append(col)
+            if rel == GEQ:
+                units.append((i, col, -1))
                 col += 1
-            elif rel == GEQ:
-                self._append_unit(i, col, Fraction(-1))
-                self.slack_col_of_row[i] = col
-                col += 1
-                self._append_unit(i, col, Fraction(1))
+            if rel != LEQ:
                 self.art_cols.add(col)
-                self.init_col_of_row[i] = col
-                self.basis.append(col)
-                col += 1
-            else:
-                self._append_unit(i, col, Fraction(1))
-                self.art_cols.add(col)
-                self.init_col_of_row[i] = col
-                self.basis.append(col)
-                col += 1
+            units.append((i, col, 1))
+            self.init_col_of_row[i] = col
+            self.basis.append(col)
+            col += 1
         self.n_cols = col
 
-    def _append_unit(self, row: int, col: int, value: Fraction):
-        for i in range(len(self.matrix)):
-            current = len(self.matrix[i])
-            while current <= col:
-                self.matrix[i].append(Fraction(0))
-                current += 1
-        self.matrix[row][col] = value
+        self.rows: list[list[int]] = []
+        self.den: list[int] = []
+        padding = [0] * (col - norm.n_struct)
+        for row, b in zip(norm.rows, norm.rhs):
+            den = math.lcm(b.denominator, *(v.denominator for v in row))
+            self.rows.append([v.numerator * (den // v.denominator) for v in row] + padding
+                             + [b.numerator * (den // b.denominator)])
+            self.den.append(den)
+        for i, j, value in units:
+            self.rows[i][j] = value * self.den[i]
 
     # -- simplex machinery ------------------------------------------------
 
-    def reduced_costs(self, cost: Sequence[Fraction]) -> list[Fraction]:
-        """z_j - c_j for every column under the current basis."""
-        m = len(self.matrix)
-        out = []
-        for j in range(self.n_cols):
-            z = Fraction(0)
-            for i in range(m):
-                cb = cost[self.basis[i]]
-                if cb:
-                    z += cb * self.matrix[i][j]
-            out.append(z - cost[j])
-        return out
+    def price(self, cost: Sequence[Fraction]):
+        """Set the reduced-cost row z_j - c_j of ``cost`` under the current basis."""
+        self.cost = cost
+        den = math.lcm(*(c.denominator for c in cost))
+        obj = [-c.numerator * (den // c.denominator) for c in cost] + [0]
+        for row, d, col in zip(self.rows, self.den, self.basis):
+            cb = cost[col]
+            if cb:
+                scale = cb.denominator * d
+                total = math.lcm(den, scale)
+                grow, weight = total // den, cb.numerator * (total // scale)
+                obj, den = _lowest_terms([z * grow + weight * a for z, a in zip(obj, row)],
+                                         total)
+        self.obj, self.obj_den = obj, den
 
-    def objective_value(self, cost: Sequence[Fraction]) -> Fraction:
-        return sum((cost[self.basis[i]] * self.b[i] for i in range(len(self.b))),
-                   Fraction(0))
+    def objective_value(self) -> Fraction:
+        return Fraction(self.obj[-1], self.obj_den)
 
     def pivot(self, row: int, col: int):
-        piv = self.matrix[row][col]
-        inv = Fraction(1) / piv
-        self.matrix[row] = [a * inv for a in self.matrix[row]]
-        self.b[row] *= inv
-        for i in range(len(self.matrix)):
-            if i == row:
-                continue
-            factor = self.matrix[i][col]
-            if factor:
-                prow = self.matrix[row]
-                self.matrix[i] = [a - factor * pa for a, pa in zip(self.matrix[i], prow)]
-                self.b[i] -= factor * self.b[row]
+        p = self.rows[row]
+        pc = p[col]
+        if pc < 0:
+            p, pc = [-a for a in p], -pc
+        p, pc = _lowest_terms(p, pc)  # the pivot row divided by its pivot entry
+        self.rows[row], self.den[row] = p, pc
+        for i, r in enumerate(self.rows):
+            f = r[col]
+            if f and i != row:
+                self.rows[i], self.den[i] = _eliminate(r, self.den[i], f, p, pc)
+        f = self.obj[col]
+        if f:
+            self.obj, self.obj_den = _eliminate(self.obj, self.obj_den, f, p, pc)
         self.basis[row] = col
 
     def run(self, cost: Sequence[Fraction], allowed) -> Optional[int]:
         """Bland-rule simplex; returns an unbounded entering column or None."""
+        self.price(cost)
         guard = 0
-        limit = 20000 + 200 * (self.n_cols + len(self.matrix))
+        limit = 20000 + 200 * (self.n_cols + len(self.rows))
         while True:
             guard += 1
             if guard > limit:  # pragma: no cover - Bland's rule prevents this
                 raise CertificateError("simplex iteration limit exceeded")
-            reduced = self.reduced_costs(cost)
-            entering = None
-            for j in range(self.n_cols):
-                if allowed(j) and reduced[j] < 0:
-                    entering = j
-                    break
+            obj = self.obj
+            entering = next((j for j in range(self.n_cols) if obj[j] < 0 and allowed(j)),
+                            None)
             if entering is None:
                 return None
+            # minimum ratio b_i / a_ie over a_ie > 0; the row denominator cancels
             leaving = None
-            best = None
-            for i in range(len(self.matrix)):
-                a = self.matrix[i][entering]
+            for i, r in enumerate(self.rows):
+                a = r[entering]
                 if a > 0:
-                    ratio = self.b[i] / a
-                    if best is None or ratio < best or (
-                            ratio == best and self.basis[i] < self.basis[leaving]):
-                        best = ratio
-                        leaving = i
+                    b = r[-1]
+                    if leaving is None or b * best_a < best_b * a or (
+                            b * best_a == best_b * a and self.basis[i] < self.basis[leaving]):
+                        leaving, best_b, best_a = i, b, a
             if leaving is None:
                 return entering
             self.pivot(leaving, entering)
 
     def drop_row(self, row: int):
-        del self.matrix[row]
-        del self.b[row]
+        del self.rows[row]
+        del self.den[row]
         del self.basis[row]
         del self.row_ids[row]
 
-    def duals(self, cost: Sequence[Fraction]) -> list[Fraction]:
+    def duals(self) -> list[Fraction]:
         """y_i per internal row (dropped redundant rows get dual 0)."""
-        reduced = self.reduced_costs(cost)
         out = [Fraction(0)] * self.norm.n_rows
         for internal in set(self.row_ids):
             col = self.init_col_of_row[internal]
-            out[internal] = reduced[col] + cost[col]
+            out[internal] = Fraction(self.obj[col], self.obj_den) + self.cost[col]
         return out
 
 
@@ -372,7 +392,6 @@ def solve_lp(problem: LPProblem, verify: bool = True) -> LPSolution:
     """Solve and (by default) re-verify the returned certificate."""
     norm = _Normalized(problem)
     tab = _Tableau(norm)
-    m = norm.n_rows
 
     # phase 1: maximize -(sum of artificials)
     cost1 = [Fraction(0)] * tab.n_cols
@@ -382,15 +401,14 @@ def solve_lp(problem: LPProblem, verify: bool = True) -> LPSolution:
     if unbounded is not None:  # pragma: no cover - phase 1 is always bounded
         raise CertificateError("phase 1 reported unbounded")
 
-    if tab.objective_value(cost1) != 0:
-        y = tab.duals(cost1)
-        solution = _infeasible_solution(norm, y)
+    if tab.objective_value() != 0:
+        solution = _infeasible_solution(norm, tab.duals())
     else:
         _purge_artificials(tab)
         cost2 = norm.expanded_objective() + [Fraction(0)] * (tab.n_cols - norm.n_struct)
         entering = tab.run(cost2, lambda j: j not in tab.art_cols)
         if entering is None:
-            solution = _optimal_solution(norm, tab, cost2)
+            solution = _optimal_solution(norm, tab)
         else:
             solution = _unbounded_solution(norm, tab, entering)
 
@@ -402,11 +420,11 @@ def solve_lp(problem: LPProblem, verify: bool = True) -> LPSolution:
 def _purge_artificials(tab: _Tableau):
     """Pivot zero-level artificials out of the basis; drop redundant rows."""
     i = 0
-    while i < len(tab.matrix):
+    while i < len(tab.rows):
         if tab.basis[i] in tab.art_cols:
             target = None
             for j in range(tab.n_cols):
-                if j not in tab.art_cols and tab.matrix[i][j] != 0:
+                if j not in tab.art_cols and tab.rows[i][j] != 0:
                     target = j
                     break
             if target is None:
@@ -418,16 +436,16 @@ def _purge_artificials(tab: _Tableau):
 
 def _struct_values(tab: _Tableau) -> list[Fraction]:
     values = [Fraction(0)] * tab.n_cols
-    for i, col in enumerate(tab.basis):
-        values[col] = tab.b[i]
+    for row, den, col in zip(tab.rows, tab.den, tab.basis):
+        values[col] = Fraction(row[-1], den)
     return values[:tab.norm.n_struct]
 
 
-def _optimal_solution(norm: _Normalized, tab: _Tableau, cost2) -> LPSolution:
+def _optimal_solution(norm: _Normalized, tab: _Tableau) -> LPSolution:
     p = norm.problem
     x = norm.collapse(_struct_values(tab))
-    value = tab.objective_value(cost2)
-    y = tab.duals(cost2)
+    value = tab.objective_value()
+    y = tab.duals()
     row_duals = tuple(norm.flip[i] * y[i] for i in range(len(p.rows)))
     bound_duals = [Fraction(0)] * p.n_vars()
     for j, internal in norm.bound_row_of_var.items():
@@ -450,8 +468,8 @@ def _unbounded_solution(norm: _Normalized, tab: _Tableau, entering: int) -> LPSo
     origin = norm.collapse(_struct_values(tab))
     direction = [Fraction(0)] * tab.n_cols
     direction[entering] = Fraction(1)
-    for i, col in enumerate(tab.basis):
-        direction[col] = -tab.matrix[i][entering]
+    for row, den, col in zip(tab.rows, tab.den, tab.basis):
+        direction[col] = Fraction(-row[entering], den)
     ray = norm.collapse(direction[:norm.n_struct])
     return LPSolution(LPStatus.UNBOUNDED, ray=ray, ray_origin=origin)
 

@@ -4,12 +4,14 @@ from fractions import Fraction as F
 
 import pytest
 
+import lcbayes.admissibility
 from lcbayes.admissibility import (DominationQuery, check_admissible,
                                    check_domination, check_lc_domination,
                                    is_epsilon_dominated,
                                    max_uniform_improvement)
 from lcbayes.decision import FiniteProblem, Procedure, risk, risk_vector
 from lcbayes.lcnum import LCNumber, eps
+from lcbayes.ratlp import solve_lp
 
 
 def fp1():
@@ -178,6 +180,27 @@ def test_domination_within_full_randomized_class():
     # epsilon = 0 reduces to inadmissibility
     assert is_epsilon_dominated(DominationQuery(fp1(), rule(F(1, 2))))[0] is False
     assert is_epsilon_dominated(DominationQuery(fp2(), ALWAYS_A2))[0] is True
+
+
+def test_domination_query_solves_each_lp_once(monkeypatch):
+    # epsilon = 0 needs the admissibility and uniform LPs, epsilon > 0 the
+    # uniform LP alone; the answers are those of the LPs solved directly
+    inadmissible_witness = check_admissible(fp2(), ALWAYS_A2).witness
+    uniform_witness = max_uniform_improvement(fp2(), ALWAYS_A2)[1]
+    calls = []
+
+    def counting_solve(lp, verify=True):
+        calls.append(lp)
+        return solve_lp(lp, verify)
+
+    monkeypatch.setattr(lcbayes.admissibility, "solve_lp", counting_solve)
+    assert is_epsilon_dominated(DominationQuery(fp2(), ALWAYS_A2)) == (
+        True, inadmissible_witness)
+    assert len(calls) == 2
+    calls.clear()
+    assert is_epsilon_dominated(DominationQuery(fp2(), ALWAYS_A2, F(1))) == (
+        True, uniform_witness)
+    assert len(calls) == 1
 
 
 # ----------------------------------------------------------------------

@@ -137,6 +137,25 @@ def test_synthesize_prior_bad_index(capsys, fp2_files):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", [["classify"], ["synthesize-prior", "--procedure", "1"]],
+                         ids=["classify", "synthesize-prior"])
+@pytest.mark.parametrize("bad", [
+    {"kind": "nonrandomized", "map": [5]},
+    {"kind": "nonrandomized", "map": [0, 1]},
+    {"kind": "randomized", "matrix": [["1/3", "1/3", "1/3"]]},
+], ids=["action-out-of-range", "wrong-row-count", "wrong-row-length"])
+def test_malformed_procedure_is_bad_input(capsys, tmp_path, fp1_files, command, bad):
+    problem, _ = fp1_files
+    procedures = tmp_path / "bad.json"
+    procedures.write_text(json.dumps([{"kind": "nonrandomized", "map": [0]}, bad]))
+    code = main(["finite", command[0], problem, "--procedures", str(procedures)]
+                + command[1:])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 # ----------------------------------------------------------------------
 # examples
 # ----------------------------------------------------------------------
