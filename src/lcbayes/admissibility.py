@@ -7,8 +7,12 @@ rules, so verdicts against "all randomized procedures" and against
 "all mixtures of nonrandomized rules" coincide; no enumeration of the
 |A|^|X| nonrandomized rules is ever needed.
 
-All verdicts are exact: epsilon-star is the exact optimum of a rational
-LP, and witnesses are procedures extracted from the LP solution.
+All verdicts are exact.  epsilon* and a rule that improves on the
+candidate by epsilon* at every state are read off the prior-game LP of
+:func:`lcbayes.priors.synthesize_prior`: its value is -epsilon* and its
+duals are the improving rule.  When epsilon* > 0 that rule dominates the
+candidate and is the witness.  Only when epsilon* = 0 is a second LP,
+for strict admissibility, solved; its primal gives the witness.
 """
 
 from __future__ import annotations
@@ -17,9 +21,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple, Union
 
-from .decision import (FiniteProblem, Procedure, ShapeMismatch, risk_vector)
+from .decision import (FiniteProblem, Procedure, ShapeMismatch, procedure_from_values,
+                       risk_vector)
 from .lcnum import LCNumber, approx_eq
-from .ratlp import LEQ, EQ, LPProblem, LPStatus, solve_lp
+from .priors import GameAnalysis, synthesize_prior
+from .ratlp import EQ, LPProblem, LPStatus, solve_lp
 
 ALL_RANDOMIZED = "all-randomized"
 
@@ -41,6 +47,7 @@ class AdmissibilityVerdict:
     admissible: bool
     extended_admissible: bool
     epsilon_star: Fraction
+    game: GameAnalysis                    # the prior-game solve that gave epsilon*
     witness: Optional[Procedure] = None
 
 
@@ -65,10 +72,10 @@ def is_epsilon_dominated(query: DominationQuery) -> Tuple[bool, Optional[Procedu
     """Decide epsilon-domination within the query's challenger class.
 
     For an explicit challenger list, each challenger is tested directly.
-    Against all randomized procedures the decision reduces to the
-    uniform-improvement LP: for epsilon > 0 a dominator exists iff
-    epsilon <= epsilon*, and for epsilon = 0 iff the candidate is
-    inadmissible (the LP witnesses are returned).
+    Against all randomized procedures the decision reduces to epsilon*:
+    for epsilon > 0 a dominator exists iff epsilon <= epsilon*, and for
+    epsilon = 0 iff the candidate is inadmissible (the LP witnesses are
+    returned).
     """
     if isinstance(query.challenger_class, tuple):
         for challenger in query.challenger_class:
@@ -99,68 +106,40 @@ def _score_table(problem: FiniteProblem) -> list[list[list[Fraction]]]:
     return table
 
 
-def _procedure_from_values(problem: FiniteProblem, values: Sequence[Fraction],
-                           offset: int) -> Procedure:
-    rows = []
-    for x in range(problem.n_observations):
-        start = offset + x * problem.n_actions
-        rows.append(tuple(values[start:start + problem.n_actions]))
-    return Procedure("randomized", matrix_rows=tuple(rows))
-
-
 def max_uniform_improvement(problem: FiniteProblem,
                             procedure: Procedure) -> Tuple[Fraction, Procedure]:
     """The largest uniform risk improvement available over the candidate.
 
-    Solves: maximize e over randomized rules D with
-    risk(theta, D) <= risk(theta, candidate) - e for every theta.
-    Taking D = candidate shows e = 0 is always feasible, so the optimum
-    is >= 0; the candidate is extended admissible (among all randomized
-    procedures) exactly when the optimum is 0.
+    epsilon* is the largest e such that some randomized D has
+    risk(theta, D) <= risk(theta, candidate) - e for every theta.  It is
+    0 or more (take D = candidate), and the candidate is extended
+    admissible exactly when it is 0.  By LP duality it is minus the
+    prior-game value, and the game's improver is such a D.
     """
-    target = risk_vector(problem, procedure)
-    n_obs, n_act = problem.n_observations, problem.n_actions
-    n_vars = 1 + n_obs * n_act  # e, then delta(x, a) row-major
-    score = _score_table(problem)
-
-    objective = [Fraction(0)] * n_vars
-    objective[0] = Fraction(1)
-    rows, relations, rhs = [], [], []
-    for s in range(problem.n_states):
-        row = [Fraction(0)] * n_vars
-        row[0] = Fraction(1)
-        for x in range(n_obs):
-            for a in range(n_act):
-                row[1 + x * n_act + a] = score[s][x][a]
-        rows.append(row)
-        relations.append(LEQ)
-        rhs.append(target[s])
-    for x in range(n_obs):
-        row = [Fraction(0)] * n_vars
-        for a in range(n_act):
-            row[1 + x * n_act + a] = Fraction(1)
-        rows.append(row)
-        relations.append(EQ)
-        rhs.append(Fraction(1))
-
-    lower: list[Optional[Fraction]] = [None] + [Fraction(0)] * (n_obs * n_act)
-    lp = LPProblem.build(objective, rows, relations, rhs, lower=lower)
-    sol = solve_lp(lp)
-    assert sol.status is LPStatus.OPTIMAL
-    witness = _procedure_from_values(problem, sol.x, offset=1)
-    return sol.objective_value, witness
+    game = synthesize_prior(problem, procedure)
+    return -game.value, game.improver
 
 
 def check_admissible(problem: FiniteProblem, procedure: Procedure) -> AdmissibilityVerdict:
     """Exact admissibility and extended admissibility in one verdict.
 
-    Admissibility: maximize the total slack sum_theta s_theta subject to
-    risk(theta, D) + s_theta = risk(theta, candidate), s >= 0, over
-    randomized D.  The candidate is admissible iff the optimum is 0;
-    otherwise the optimizing D dominates it (weakly everywhere, strictly
-    where s_theta > 0).
+    The prior-game LP gives epsilon*.  If epsilon* > 0 the candidate is
+    neither admissible nor extended admissible, and the game's improver,
+    better by epsilon* at every state, is the witness.  Otherwise solve
+    for strict admissibility: maximize the total slack sum_theta s_theta
+    subject to risk(theta, D) + s_theta = risk(theta, candidate),
+    s >= 0, over randomized D.  The candidate is admissible iff the
+    optimum is 0; otherwise the optimizing D dominates it (weakly
+    everywhere, strictly where s_theta > 0).
     """
-    target = risk_vector(problem, procedure)
+    game = synthesize_prior(problem, procedure)
+    epsilon_star = -game.value
+    if epsilon_star > 0:
+        return AdmissibilityVerdict(admissible=False, extended_admissible=False,
+                                    epsilon_star=epsilon_star, game=game,
+                                    witness=game.improver)
+
+    target = game.candidate_risks
     n_states, n_obs, n_act = problem.n_states, problem.n_observations, problem.n_actions
     n_vars = n_states + n_obs * n_act  # s_theta, then delta(x, a)
     score = _score_table(problem)
@@ -188,17 +167,9 @@ def check_admissible(problem: FiniteProblem, procedure: Procedure) -> Admissibil
     sol = solve_lp(lp)
     assert sol.status is LPStatus.OPTIMAL
     admissible = sol.objective_value == 0
-
-    epsilon_star, uniform_witness = max_uniform_improvement(problem, procedure)
-    extended = epsilon_star == 0
-
-    witness = None
-    if not admissible:
-        witness = _procedure_from_values(problem, sol.x, offset=n_states)
-    elif not extended:
-        witness = uniform_witness
-    return AdmissibilityVerdict(admissible=admissible, extended_admissible=extended,
-                                epsilon_star=epsilon_star, witness=witness)
+    witness = None if admissible else procedure_from_values(problem, sol.x, offset=n_states)
+    return AdmissibilityVerdict(admissible=admissible, extended_admissible=True,
+                                epsilon_star=epsilon_star, game=game, witness=witness)
 
 
 def check_lc_domination(candidate_risks: Sequence[LCNumber],

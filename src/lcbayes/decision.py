@@ -280,9 +280,26 @@ def risk_vector(problem: FiniteProblem, procedure: Procedure) -> Tuple[Fraction,
     return tuple(risk(problem, procedure, s) for s in range(problem.n_states))
 
 
+def procedure_from_values(problem: FiniteProblem, values: Sequence[Fraction],
+                          offset: int) -> Procedure:
+    """The randomized rule whose delta(x, a) are ``values[offset:]``, row-major.
+
+    The values come from an LP whose constraints make each row a
+    probability vector, so they are not re-validated here.
+    """
+    n_act = problem.n_actions
+    rows = tuple(tuple(values[offset + x * n_act:offset + (x + 1) * n_act])
+                 for x in range(problem.n_observations))
+    return Procedure("randomized", matrix_rows=rows)
+
+
 def bayes_risk(problem: FiniteProblem, procedure: Procedure, prior: Prior):
     """Prior-weighted risk; exact in the prior's scalar field."""
-    risks = risk_vector(problem, procedure)
+    return prior_expectation(problem, risk_vector(problem, procedure), prior)
+
+
+def prior_expectation(problem: FiniteProblem, risks: Sequence[Fraction], prior: Prior):
+    """sum_theta pi(theta) * risks[theta], exact in the prior's scalar field."""
     total = None
     for idx, w in prior.items(problem.n_states):
         contribution = w * risks[idx]
@@ -395,6 +412,11 @@ def problem_to_json(problem: FiniteProblem) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
+def _require_object(entry, what: str):
+    if not isinstance(entry, dict):
+        raise SchemaError(f"{what} entry {json.dumps(entry)} must be a JSON object")
+
+
 def problem_from_json(text: str) -> FiniteProblem:
     try:
         payload = json.loads(text)
@@ -403,6 +425,7 @@ def problem_from_json(text: str) -> FiniteProblem:
     try:
         states = []
         for entry in payload["states"]:
+            _require_object(entry, "state")
             if "coords" in entry:
                 states.append((entry["label"],
                                tuple(_frac(c, "coords") for c in entry["coords"])))
@@ -410,6 +433,7 @@ def problem_from_json(text: str) -> FiniteProblem:
                 states.append(entry["label"])
         actions = []
         for entry in payload["actions"]:
+            _require_object(entry, "action")
             if "value" in entry and entry["value"] is not None:
                 actions.append((entry["label"], _frac(entry["value"], "action value")))
             else:
@@ -430,10 +454,18 @@ def procedure_to_json_dict(procedure: Procedure) -> dict:
 
 
 def procedure_from_json_dict(payload: dict) -> Procedure:
+    _require_object(payload, "procedure")
     try:
         kind = payload["kind"]
         if kind == "nonrandomized":
-            return Procedure.nonrandomized(payload["map"])
+            action_map = payload["map"]
+            # bool is an int subclass, but true/false are not action indices
+            if not isinstance(action_map, list) or any(
+                    type(a) is not int for a in action_map):
+                raise SchemaError(
+                    f"procedure map must be a list of integer action indices, "
+                    f"got {json.dumps(action_map)}")
+            return Procedure.nonrandomized(action_map)
         if kind == "randomized":
             return Procedure.randomized(payload["matrix"])
     except (KeyError, TypeError, InvalidProblem) as exc:

@@ -50,7 +50,8 @@ class LCNumber:
 
     ``order`` is precision metadata: binary operations truncate to the
     smaller operand order, so results never claim unearned precision.
-    Equality and hashing look only at the canonical term list.
+    Equality and hashing look only at the canonical term list; a
+    standard number hashes like the equal ``Fraction``.
     """
 
     __slots__ = ("_terms", "_order")
@@ -299,6 +300,10 @@ class LCNumber:
         return self._terms == rhs._terms
 
     def __hash__(self):
+        if not self._terms:
+            return hash(0)
+        if len(self._terms) == 1 and self._terms[0][0] == 0:
+            return hash(self._terms[0][1])
         return hash(self._terms)
 
     def __lt__(self, other):

@@ -1,7 +1,7 @@
 """Witness-prior synthesis, Bayes verification, and prior pushdowns.
 
 The synthesis LP is the zero-sum game dual of the uniform-improvement
-LP: over priors pi it maximizes
+problem: over priors pi it maximizes
 
     [ minimal Bayes risk over all randomized rules under pi ]
       - [ Bayes risk of the candidate under pi ]
@@ -12,6 +12,13 @@ optimizing pi* is a prior under which the candidate is max(0, -v*)-Bayes.
 A separating-hyperplane normal over the finite risk set, normalized to
 total mass one, is exactly such a prior; the LP dual produces it without
 any convex-hull construction.
+
+The same solve also hands over the other side of the duality.  The
+duals of the (x, a) rows sum to 1 per observation, because m_x is free,
+so they form a randomized rule D, and dual feasibility on pi_theta reads
+risk(theta, D) <= risk(theta, candidate) - epsilon*.  So this one LP
+gives epsilon*, its improving rule and the witness prior;
+:mod:`lcbayes.admissibility` solves a second LP only when epsilon* = 0.
 
 Priors with Levi-Civita weights (possibly supported on infinitesimal or
 otherwise nonstandard points) push down to standard priors by taking
@@ -24,8 +31,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .decision import (FiniteProblem, Prior, Procedure, bayes_risk,
-                       risk_vector)
+from .decision import (FiniteProblem, Prior, Procedure, prior_expectation,
+                       procedure_from_values, risk_vector)
 from .lcnum import LCNumber, NotNearStandard
 from .ratlp import LEQ, EQ, LPProblem, LPStatus, solve_lp
 from .ratlp import CertificateError
@@ -40,6 +47,8 @@ class GameAnalysis:
     inner_best_responses: Tuple[Tuple[int, ...], ...]  # optimal actions per observation
     slack: Fraction                       # max(0, -v*): the epsilon in epsilon-Bayes
     prior_possibly_nonunique: bool        # optimal prior is not unique when v* < 0
+    improver: Procedure                   # risk <= candidate risk - epsilon* at every state
+    candidate_risks: Tuple[Fraction, ...]  # the game's payoff data: r(theta, candidate)
 
 
 @dataclass(frozen=True)
@@ -141,6 +150,8 @@ def synthesize_prior(problem: FiniteProblem, procedure: Procedure) -> GameAnalys
     subject to m_x <= sum_theta pi_theta P_theta(x) loss(theta, a) for
     every (x, a).  At the optimum m_x equals the posterior-score minimum,
     so the value is min_{D} r(pi, D) - r(pi, cand), maximized over pi.
+    The duals of the (x, a) rows are the improver D, which
+    :func:`lcbayes.ratlp.check_certificate` has verified with the solve.
     """
     target = risk_vector(problem, procedure)
     n_states, n_obs, n_act = problem.n_states, problem.n_observations, problem.n_actions
@@ -172,7 +183,9 @@ def synthesize_prior(problem: FiniteProblem, procedure: Procedure) -> GameAnalys
     slack = max(Fraction(0), -value)
     return GameAnalysis(value=value, witness_prior=prior,
                         inner_best_responses=tuple(argmins), slack=slack,
-                        prior_possibly_nonunique=value < 0)
+                        prior_possibly_nonunique=value < 0,
+                        improver=procedure_from_values(problem, sol.row_duals, offset=1),
+                        candidate_risks=target)
 
 
 def verify_epsilon_bayes(problem: FiniteProblem, procedure: Procedure,
@@ -182,29 +195,43 @@ def verify_epsilon_bayes(problem: FiniteProblem, procedure: Procedure,
     Exact in the prior's scalar field; the inner minimum over all
     randomized procedures separates over observations.
     """
-    candidate = bayes_risk(problem, procedure, prior)
-    minimum = minimal_bayes_risk(problem, prior)
-    return candidate <= minimum + epsilon
+    return _within_epsilon_of_bayes(problem, risk_vector(problem, procedure),
+                                    prior, epsilon)
+
+
+def _within_epsilon_of_bayes(problem: FiniteProblem, risks: Sequence[Fraction],
+                             prior: Prior, epsilon) -> bool:
+    candidate = prior_expectation(problem, risks, prior)
+    return candidate <= minimal_bayes_risk(problem, prior) + epsilon
 
 
 def classify(problem: FiniteProblem, procedure: Procedure) -> ClassificationReport:
-    """Full per-procedure verdict with internal consistency checks."""
+    """Full per-procedure verdict with internal consistency checks.
+
+    The verdict's epsilon* comes from one LP, so it is proved here from
+    the problem data alone: the improver's recomputed risk is at most
+    r(theta, candidate) - epsilon* at every state (so epsilon* is
+    attained), and the candidate is epsilon*-Bayes under the witness
+    prior by the separable minimum (so no rule improves by more).
+    """
     from .admissibility import check_admissible
 
     verdict = check_admissible(problem, procedure)
-    game = synthesize_prior(problem, procedure)
-    if game.value != -verdict.epsilon_star:
-        raise CertificateError(
-            f"duality identity violated: v*={game.value}, eps*={verdict.epsilon_star}")
-    if not verify_epsilon_bayes(problem, procedure, game.witness_prior, game.slack):
+    game = verdict.game
+    epsilon_star = verdict.epsilon_star
+    improved = risk_vector(problem, game.improver)
+    if any(d > r - epsilon_star for d, r in zip(improved, game.candidate_risks)):
+        raise CertificateError(f"improver does not improve uniformly by eps*={epsilon_star}")
+    if not _within_epsilon_of_bayes(problem, game.candidate_risks,
+                                    game.witness_prior, game.slack):
         raise CertificateError("witness prior fails epsilon-Bayes verification")
-    if game.slack == 0 and not verdict.extended_admissible:
-        raise CertificateError("exact Bayes procedure classified as not extended admissible")
+    if epsilon_star > 0 and verdict.admissible:
+        raise CertificateError(f"rule with eps*={epsilon_star} classified as admissible")
     return ClassificationReport(
         procedure=procedure,
         admissible=verdict.admissible,
         extended_admissible=verdict.extended_admissible,
-        epsilon_star=verdict.epsilon_star,
+        epsilon_star=epsilon_star,
         game_value=game.value,
         witness_prior=game.witness_prior,
         bayes_slack=game.slack,

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 import lcbayes.admissibility
+import lcbayes.priors
 from lcbayes.admissibility import (DominationQuery, check_admissible,
                                    check_domination, check_lc_domination,
                                    is_epsilon_dominated,
@@ -183,10 +184,14 @@ def test_domination_within_full_randomized_class():
 
 
 def test_domination_query_solves_each_lp_once(monkeypatch):
-    # epsilon = 0 needs the admissibility and uniform LPs, epsilon > 0 the
-    # uniform LP alone; the answers are those of the LPs solved directly
+    # the prior-game LP gives epsilon*; only at epsilon* = 0 does epsilon = 0
+    # also need the strict-admissibility LP.  The answers are those of the
+    # LPs solved directly.
     inadmissible_witness = check_admissible(fp2(), ALWAYS_A2).witness
     uniform_witness = max_uniform_improvement(fp2(), ALWAYS_A2)[1]
+    flat = FiniteProblem.build(["t1", "t2"], ["x1"], ["a1", "a2"],
+                               model=[[1], [1]], loss=[[0, 0], [0, 1]])
+    flat_witness = check_admissible(flat, ALWAYS_A2).witness
     calls = []
 
     def counting_solve(lp, verify=True):
@@ -194,13 +199,19 @@ def test_domination_query_solves_each_lp_once(monkeypatch):
         return solve_lp(lp, verify)
 
     monkeypatch.setattr(lcbayes.admissibility, "solve_lp", counting_solve)
+    monkeypatch.setattr(lcbayes.priors, "solve_lp", counting_solve)
+    # epsilon* = 1: the game LP alone, at epsilon = 0 and at epsilon > 0
     assert is_epsilon_dominated(DominationQuery(fp2(), ALWAYS_A2)) == (
         True, inadmissible_witness)
-    assert len(calls) == 2
+    assert len(calls) == 1
     calls.clear()
     assert is_epsilon_dominated(DominationQuery(fp2(), ALWAYS_A2, F(1))) == (
         True, uniform_witness)
     assert len(calls) == 1
+    calls.clear()
+    # inadmissible at epsilon* = 0: the game LP, then the strict LP
+    assert is_epsilon_dominated(DominationQuery(flat, ALWAYS_A2)) == (True, flat_witness)
+    assert len(calls) == 2
 
 
 # ----------------------------------------------------------------------

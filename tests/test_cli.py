@@ -156,6 +156,45 @@ def test_malformed_procedure_is_bad_input(capsys, tmp_path, fp1_files, command, 
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", [["classify"], ["synthesize-prior", "--procedure", "0"]],
+                         ids=["classify", "synthesize-prior"])
+@pytest.mark.parametrize("bad", [
+    {"kind": "nonrandomized", "map": ["a"]},
+    {"kind": "nonrandomized", "map": [1.7]},
+    {"kind": "nonrandomized", "map": [True]},
+    {"kind": "nonrandomized", "map": "0"},
+    "nonrandomized",
+], ids=["string-action", "float-action", "bool-action", "map-not-a-list", "bare-string"])
+def test_non_integer_map_is_bad_input(capsys, tmp_path, fp1_files, command, bad):
+    # JSON 1.7 and true used to be read as action 1, and "a" raised a traceback
+    problem, _ = fp1_files
+    procedures = tmp_path / "bad.json"
+    procedures.write_text(json.dumps([bad]))
+    code = main(["finite", command[0], problem, "--procedures", str(procedures)]
+                + command[1:])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [["classify"], ["synthesize-prior", "--procedure", "0"]],
+                         ids=["classify", "synthesize-prior"])
+@pytest.mark.parametrize("field, entry", [("states", "t1"), ("actions", "a1")])
+def test_bare_string_entry_is_named(capsys, tmp_path, fp1_files, command, field, entry):
+    problem_path, procedures = fp1_files
+    payload = json.loads(open(problem_path).read())
+    payload[field][0] = entry
+    broken = tmp_path / "bare.json"
+    broken.write_text(json.dumps(payload))
+    code = main(["finite", command[0], str(broken), "--procedures", procedures]
+                + command[1:])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f'error: {field[:-1]} entry "{entry}" must be a JSON object\n'
+
+
 # ----------------------------------------------------------------------
 # examples
 # ----------------------------------------------------------------------

@@ -315,3 +315,16 @@ def test_immutability():
         E.order_ = 3
     with pytest.raises(AttributeError):
         E._terms = ()
+
+
+@pytest.mark.parametrize("order", [4, 8, 16])
+def test_standard_numbers_hash_like_their_rationals(order):
+    # equal objects must hash equal, so a set or dict sees one key
+    for value in (0, 1, -3, 7, F(1, 2), F(-5, 3), F(22, 7)):
+        lc = LCNumber(value, order)
+        assert lc == value and lc == F(value)
+        assert hash(lc) == hash(value) == hash(F(value))
+        assert len({lc, value, F(value)}) == 1
+        assert {lc: "lc"}[value] == "lc"
+    # distinct orders stay one key: equality ignores the order metadata
+    assert len({LCNumber(F(1, 2), order), LCNumber(F(1, 2), 2 * order)}) == 1

@@ -384,8 +384,12 @@ def random_problem(rng: random.Random, n_states: int, n_obs: int,
                                [f"a{a}" for a in range(n_actions)], model, loss)
 
 
-def classify_lps(monkeypatch, problem: FiniteProblem, procedures) -> list:
-    """The admissibility, uniform and prior-game LPs that classify solves."""
+def classify_lps(monkeypatch, problem: FiniteProblem, procedures) -> tuple:
+    """The LPs that classify solves, and its reports.
+
+    Each verdict solves the prior-game LP, and the strict-admissibility
+    LP only when epsilon* = 0.
+    """
     seen = []
 
     def recording_solve(lp, verify=True):
@@ -394,10 +398,9 @@ def classify_lps(monkeypatch, problem: FiniteProblem, procedures) -> list:
 
     monkeypatch.setattr(lcbayes.admissibility, "solve_lp", recording_solve)
     monkeypatch.setattr(lcbayes.priors, "solve_lp", recording_solve)
-    for procedure in procedures:
-        classify(problem, procedure)
+    reports = [classify(problem, procedure) for procedure in procedures]
     monkeypatch.undo()
-    return seen
+    return seen, reports
 
 
 def test_classify_lps_match_reference(monkeypatch):
@@ -407,8 +410,9 @@ def test_classify_lps_match_reference(monkeypatch):
                    for _ in range(6)]
     large = random_problem(rng, 10, 10, 5)
     large_rules = [Procedure.nonrandomized([rng.randrange(5) for _ in range(10)])]
-    lps = (classify_lps(monkeypatch, small, small_rules)
-           + classify_lps(monkeypatch, large, large_rules))
-    assert len(lps) == 3 * (len(small_rules) + len(large_rules))
+    small_lps, small_reports = classify_lps(monkeypatch, small, small_rules)
+    large_lps, large_reports = classify_lps(monkeypatch, large, large_rules)
+    lps = small_lps + large_lps
+    assert len(lps) == sum(1 + (r.epsilon_star == 0) for r in small_reports + large_reports)
     for lp in lps:
         assert_same_solution(lp)
