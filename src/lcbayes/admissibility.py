@@ -95,17 +95,6 @@ def is_epsilon_dominated(query: DominationQuery) -> Tuple[bool, Optional[Procedu
     return False, None
 
 
-def _score_table(problem: FiniteProblem) -> list[list[list[Fraction]]]:
-    """score[theta][x][a] = P_theta(x) * loss(theta, a)."""
-    table = []
-    for s in range(problem.n_states):
-        model_row = problem.model[s]
-        loss_row = problem.loss[s]
-        table.append([[model_row[x] * loss_row[a] for a in range(problem.n_actions)]
-                      for x in range(problem.n_observations)])
-    return table
-
-
 def max_uniform_improvement(problem: FiniteProblem,
                             procedure: Procedure) -> Tuple[Fraction, Procedure]:
     """The largest uniform risk improvement available over the candidate.
@@ -142,7 +131,6 @@ def check_admissible(problem: FiniteProblem, procedure: Procedure) -> Admissibil
     target = game.candidate_risks
     n_states, n_obs, n_act = problem.n_states, problem.n_observations, problem.n_actions
     n_vars = n_states + n_obs * n_act  # s_theta, then delta(x, a)
-    score = _score_table(problem)
 
     objective = [Fraction(1)] * n_states + [Fraction(0)] * (n_obs * n_act)
     rows, relations, rhs = [], [], []
@@ -151,7 +139,7 @@ def check_admissible(problem: FiniteProblem, procedure: Procedure) -> Admissibil
         row[s] = Fraction(1)
         for x in range(n_obs):
             for a in range(n_act):
-                row[n_states + x * n_act + a] = score[s][x][a]
+                row[n_states + x * n_act + a] = problem.model[s][x] * problem.loss[s][a]
         rows.append(row)
         relations.append(EQ)
         rhs.append(target[s])

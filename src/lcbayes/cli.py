@@ -39,23 +39,15 @@ EXIT_CERTIFICATE = 3
 EXIT_DIV_ZERO = 4
 
 
-def _rat(value: Fraction) -> str:
-    return str(value)
-
-
-def _lc(value: LCNumber) -> str:
-    return str(value)
-
-
 def _emit_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=2)
 
 
 def _st_fields(value: LCNumber) -> dict:
     v = value.valuation()
-    out = {"valuation": "+inf" if v is None else _rat(v)}
+    out = {"valuation": "+inf" if v is None else str(v)}
     if value.is_near_standard():
-        out["st"] = _rat(value.standard_part())
+        out["st"] = str(value.standard_part())
     else:
         out["st"] = "undefined"
     return out
@@ -71,10 +63,10 @@ def classification_payload(report: ClassificationReport) -> dict:
         "procedure": procedure_to_json_dict(report.procedure),
         "admissible": report.admissible,
         "extended_admissible": report.extended_admissible,
-        "epsilon_star": _rat(report.epsilon_star),
-        "game_value": _rat(report.game_value),
-        "prior": [_rat(w) for w in report.witness_prior.weights],
-        "bayes_slack": _rat(report.bayes_slack),
+        "epsilon_star": str(report.epsilon_star),
+        "game_value": str(report.game_value),
+        "prior": [str(w) for w in report.witness_prior.weights],
+        "bayes_slack": str(report.bayes_slack),
     }
     if report.witness is not None:
         payload["witness"] = procedure_to_json_dict(report.witness)
@@ -83,9 +75,9 @@ def classification_payload(report: ClassificationReport) -> dict:
 
 def game_payload(game: GameAnalysis) -> dict:
     return {
-        "game_value": _rat(game.value),
-        "prior": [_rat(w) for w in game.witness_prior.weights],
-        "slack": _rat(game.slack),
+        "game_value": str(game.value),
+        "prior": [str(w) for w in game.witness_prior.weights],
+        "slack": str(game.slack),
         "inner_best_responses": [list(acts) for acts in game.inner_best_responses],
         "prior_possibly_nonunique": game.prior_possibly_nonunique,
     }
@@ -94,29 +86,29 @@ def game_payload(game: GameAnalysis) -> dict:
 def normal_location_payload(report: NormalLocationReport) -> dict:
     regularity = {
         "verdict": report.regularity.verdict,
-        "epsilon": _lc(report.regularity_epsilon),
+        "epsilon": str(report.regularity_epsilon),
     }
     if report.regularity.witness is not None:
         center, radius = report.regularity.witness
         regularity["witness_probe"] = {
-            "center": [_rat(c) for c in center],
-            "radius": _rat(radius),
+            "center": [str(c) for c in center],
+            "radius": str(radius),
         }
     payload = {
         "example": "normal-location",
         "dim": report.dim,
         "order": report.order,
-        "prior_scale": _lc(report.scale),
-        "shrinkage": _lc(report.shrinkage),
-        "shrinkage_st": _rat(report.shrinkage_st),
-        "shrinkage_bayes_risk": _lc(report.shrinkage_bayes_risk),
-        "sample_mean_bayes_risk": _lc(report.sample_mean_bayes_risk),
-        "gap": _lc(report.gap),
+        "prior_scale": str(report.scale),
+        "shrinkage": str(report.shrinkage),
+        "shrinkage_st": str(report.shrinkage_st),
+        "shrinkage_bayes_risk": str(report.shrinkage_bayes_risk),
+        "sample_mean_bayes_risk": str(report.sample_mean_bayes_risk),
+        "gap": str(report.gap),
         "gap_closed_form": report.gap_closed_form,
         "gap_is_infinitesimal": report.gap_is_infinitesimal,
-        "gap_st": _rat(report.gap.standard_part()),
-        "risk_constant_coefficient": _lc(report.risk_constant_coefficient),
-        "risk_norm_coefficient": _lc(report.risk_norm_coefficient),
+        "gap_st": str(report.gap.standard_part()),
+        "risk_constant_coefficient": str(report.risk_constant_coefficient),
+        "risk_norm_coefficient": str(report.risk_norm_coefficient),
         "regularity": regularity,
     }
     if report.discrepancy_note is not None:
@@ -128,23 +120,23 @@ def bernoulli_payload(report: BernoulliBoundaryReport) -> dict:
     return {
         "example": "bernoulli-boundary",
         "order": report.order,
-        "lc_point": _lc(report.lc_point),
-        "lc_bayes_risk": _lc(report.lc_bayes_risk),
-        "lc_bayes_risk_st": _rat(report.lc_bayes_risk_st),
-        "risk_at_half": _rat(report.risk_at_half),
-        "risk_at_zero": _rat(report.risk_at_zero),
+        "lc_point": str(report.lc_point),
+        "lc_bayes_risk": str(report.lc_bayes_risk),
+        "lc_bayes_risk_st": str(report.lc_bayes_risk_st),
+        "risk_at_half": str(report.risk_at_half),
+        "risk_at_zero": str(report.risk_at_zero),
         "non_bayes": [
             {
                 "prior": entry.prior_label,
-                "optimal_rule": [_rat(entry.optimal_rule[0]), _rat(entry.optimal_rule[1])],
-                "optimal_bayes_risk": _rat(entry.optimal_bayes_risk),
-                "candidate_bayes_risk": _rat(entry.candidate_bayes_risk),
-                "excess": _rat(entry.excess),
+                "optimal_rule": [str(v) for v in entry.optimal_rule],
+                "optimal_bayes_risk": str(entry.optimal_bayes_risk),
+                "candidate_bayes_risk": str(entry.candidate_bayes_risk),
+                "excess": str(entry.excess),
             }
             for entry in report.non_bayes
         ],
         "no_dominator_found": not report.dominators_found,
-        "dominators": [[_rat(a), _rat(b)] for a, b in report.dominators_found],
+        "dominators": [[str(a), str(b)] for a, b in report.dominators_found],
         "challenger_count": report.challenger_count,
         "state_count": report.state_count,
     }
@@ -212,40 +204,29 @@ def _print_payload(payload, fmt: str):
 _INPUT_ERRORS = (OSError, SchemaError, IndexOutOfRange, ShapeMismatch)
 
 
-def _read_finite_inputs(args):
-    """The problem and its procedures, each checked against the problem."""
-    problem = problem_from_json(Path(args.problem).read_text())
-    procedures = procedures_from_json(Path(args.procedures).read_text())
-    for procedure in procedures:
-        check_procedure(problem, procedure)
-    return problem, procedures
+def _cmd_finite(args, fmt: str) -> int:
+    """``finite classify`` and ``finite synthesize-prior``.
 
-
-def _cmd_finite_classify(args, fmt: str) -> int:
+    Only reading and checking the inputs maps errors to exit 2, so a
+    failure inside the solver is never reported as bad input.
+    """
     try:
-        problem, procedures = _read_finite_inputs(args)
+        problem = problem_from_json(Path(args.problem).read_text())
+        procedures = procedures_from_json(Path(args.procedures).read_text())
+        for procedure in procedures:
+            check_procedure(problem, procedure)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    reports = []
-    for procedure in procedures:
-        reports.append(classification_payload(classify(problem, procedure)))
-    _print_payload(reports, fmt)
-    return EXIT_OK
-
-
-def _cmd_finite_synthesize(args, fmt: str) -> int:
-    try:
-        problem, procedures = _read_finite_inputs(args)
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    if args.subcommand == "classify":
+        payload = [classification_payload(classify(problem, procedure))
+                   for procedure in procedures]
+    elif 0 <= args.procedure < len(procedures):
+        payload = game_payload(synthesize_prior(problem, procedures[args.procedure]))
+    else:
+        print(f"error: procedure index {args.procedure} out of range", file=sys.stderr)
         return EXIT_BAD_INPUT
-    if args.procedure < 0 or args.procedure >= len(procedures):
-        print(f"error: procedure index {args.procedure} out of range",
-              file=sys.stderr)
-        return EXIT_BAD_INPUT
-    game = synthesize_prior(problem, procedures[args.procedure])
-    _print_payload(game_payload(game), fmt)
+    _print_payload(payload, fmt)
     return EXIT_OK
 
 
@@ -274,7 +255,7 @@ def _cmd_lc_eval(args, fmt: str, order: int) -> int:
     except ZeroDivisionError:
         print("error: division by zero", file=sys.stderr)
         return EXIT_DIV_ZERO
-    payload = {"value": _lc(value), "order": order}
+    payload = {"value": str(value), "order": order}
     payload.update(_st_fields(value))
     _print_payload(payload, fmt)
     return EXIT_OK
@@ -329,10 +310,8 @@ def main(argv=None) -> int:
         print("error: --order must be >= 1", file=sys.stderr)
         return EXIT_BAD_INPUT
     try:
-        if args.command == "finite" and args.subcommand == "classify":
-            return _cmd_finite_classify(args, fmt)
-        if args.command == "finite" and args.subcommand == "synthesize-prior":
-            return _cmd_finite_synthesize(args, fmt)
+        if args.command == "finite":
+            return _cmd_finite(args, fmt)
         if args.command == "example":
             return _cmd_example(args, fmt, order)
         if args.command == "lc" and args.subcommand == "eval":

@@ -62,6 +62,12 @@ def _frac(value, context: str) -> Fraction:
     raise SchemaError(f"expected exact rational in {context}, got {type(value).__name__}")
 
 
+def _require_list(value, what: str):
+    # a string or a dict is iterable too, but its items are not table entries
+    if not isinstance(value, (list, tuple)):
+        raise InvalidProblem(f"{what} must be a list, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FiniteProblem:
     state_labels: Tuple[str, ...]
@@ -80,10 +86,14 @@ class FiniteProblem:
         ``states`` entries are labels or (label, coords) pairs; ``actions``
         entries are labels or (label, value) pairs.
         """
+        for name, value in (("states", states), ("observations", observations),
+                            ("actions", actions), ("model", model), ("loss", loss)):
+            _require_list(value, name)
         state_labels, state_coords = [], []
         for s in states:
             if isinstance(s, tuple):
                 label, coords = s
+                _require_list(coords, "state coords")
                 state_labels.append(str(label))
                 state_coords.append(tuple(_frac(c, "state coords") for c in coords))
             else:
@@ -105,6 +115,7 @@ class FiniteProblem:
             raise InvalidProblem("states, observations and actions must be nonempty")
         model_rows = []
         for i, row in enumerate(model):
+            _require_list(row, f"model row {i}")
             if len(row) != n_obs:
                 raise InvalidProblem(f"model row {i} has wrong length")
             vals = tuple(_frac(v, "model") for v in row)
@@ -118,6 +129,7 @@ class FiniteProblem:
             raise InvalidProblem("model must have one row per state")
         loss_rows = []
         for i, row in enumerate(loss):
+            _require_list(row, f"loss row {i}")
             if len(row) != n_actions:
                 raise InvalidProblem(f"loss row {i} has wrong length")
             vals = tuple(_frac(v, "loss") for v in row)
@@ -154,12 +166,18 @@ class Procedure:
 
     @staticmethod
     def nonrandomized(action_map: Sequence[int]) -> "Procedure":
-        return Procedure("nonrandomized", action_map=tuple(int(a) for a in action_map))
+        _require_list(action_map, "action map")
+        # bool is an int subclass, but True/False are not action indices
+        if any(type(a) is not int for a in action_map):
+            raise InvalidProblem(f"action map entries must be integers, got {action_map!r}")
+        return Procedure("nonrandomized", action_map=tuple(action_map))
 
     @staticmethod
     def randomized(rows: Sequence[Sequence[Rational]]) -> "Procedure":
+        _require_list(rows, "procedure matrix")
         mat = []
-        for row in rows:
+        for i, row in enumerate(rows):
+            _require_list(row, f"procedure row {i}")
             vals = tuple(_frac(v, "procedure") for v in row)
             for v in vals:
                 if v < 0 or v > 1:
@@ -201,12 +219,9 @@ class Prior:
     support: Optional[tuple] = None
 
     def __post_init__(self):
-        total = None
-        for w in self.weights:
-            if w < 0:
-                raise WeightError("prior weights must be nonnegative")
-            total = w if total is None else total + w
-        if total is None or total != 1:
+        if any(w < 0 for w in self.weights):
+            raise WeightError("prior weights must be nonnegative")
+        if sum(self.weights) != 1:
             raise WeightError("prior weights must sum exactly to 1")
         if self.support is not None and len(self.support) != len(self.weights):
             raise WeightError("support and weights must have equal length")
@@ -300,11 +315,7 @@ def bayes_risk(problem: FiniteProblem, procedure: Procedure, prior: Prior):
 
 def prior_expectation(problem: FiniteProblem, risks: Sequence[Fraction], prior: Prior):
     """sum_theta pi(theta) * risks[theta], exact in the prior's scalar field."""
-    total = None
-    for idx, w in prior.items(problem.n_states):
-        contribution = w * risks[idx]
-        total = contribution if total is None else total + contribution
-    return total
+    return sum(w * risks[idx] for idx, w in prior.items(problem.n_states))
 
 
 def convex_combine(procedures: Sequence[Procedure], weights: Sequence[Rational],
@@ -375,12 +386,7 @@ def derandomize(problem: FiniteProblem, procedure: Procedure) -> Procedure:
     chosen = []
     for row in procedure.matrix_rows:
         mean = sum((w * values[a] for a, w in enumerate(row)), Fraction(0))
-        best, best_dist = 0, None
-        for a in range(problem.n_actions):
-            dist = abs(values[a] - mean)
-            if best_dist is None or dist < best_dist:
-                best, best_dist = a, dist
-        chosen.append(best)
+        chosen.append(min(range(problem.n_actions), key=lambda a: abs(values[a] - mean)))
     return Procedure.nonrandomized(chosen)
 
 
@@ -427,15 +433,14 @@ def problem_from_json(text: str) -> FiniteProblem:
         for entry in payload["states"]:
             _require_object(entry, "state")
             if "coords" in entry:
-                states.append((entry["label"],
-                               tuple(_frac(c, "coords") for c in entry["coords"])))
+                states.append((entry["label"], entry["coords"]))
             else:
                 states.append(entry["label"])
         actions = []
         for entry in payload["actions"]:
             _require_object(entry, "action")
             if "value" in entry and entry["value"] is not None:
-                actions.append((entry["label"], _frac(entry["value"], "action value")))
+                actions.append((entry["label"], entry["value"]))
             else:
                 actions.append(entry["label"])
         return FiniteProblem.build(states, payload["observations"], actions,
@@ -458,14 +463,7 @@ def procedure_from_json_dict(payload: dict) -> Procedure:
     try:
         kind = payload["kind"]
         if kind == "nonrandomized":
-            action_map = payload["map"]
-            # bool is an int subclass, but true/false are not action indices
-            if not isinstance(action_map, list) or any(
-                    type(a) is not int for a in action_map):
-                raise SchemaError(
-                    f"procedure map must be a list of integer action indices, "
-                    f"got {json.dumps(action_map)}")
-            return Procedure.nonrandomized(action_map)
+            return Procedure.nonrandomized(payload["map"])
         if kind == "randomized":
             return Procedure.randomized(payload["matrix"])
     except (KeyError, TypeError, InvalidProblem) as exc:

@@ -136,6 +136,16 @@ def _validate_probe(probe: Probe):
         raise BadProbe(f"probe radius must be a positive rational, got {radius!r}")
 
 
+def _zero_of(weights: Sequence[LCNumber]) -> LCNumber:
+    """The start of a sum of some of these weights that may select none.
+
+    The empty mass must still be a Levi-Civita number, because
+    :func:`much_greater` reads its sign; at the largest order of the
+    weights, adding it truncates no nonempty sum.
+    """
+    return LCNumber(0, max(w.order for w in weights))
+
+
 def _regularity_from_bounds(bounds, epsilon: LCNumber) -> RegularityVerdict:
     indeterminate = None
     for probe, (lower, upper) in bounds:
@@ -178,10 +188,7 @@ class NormalLocationLinear:
         if len(coords) != self.dim:
             raise ValueError(f"expected {self.dim} coordinates, got {len(coords)}")
         c = shrinkage
-        norm2 = None
-        for t in coords:
-            sq = t * t
-            norm2 = sq if norm2 is None else norm2 + sq
+        norm2 = sum(t * t for t in coords)
         return self.dim * (c * c) + (1 - c) * (1 - c) * norm2
 
     def bayes_risk_gaussian(self, shrinkage: Scalar, scale: Scalar) -> Scalar:
@@ -344,11 +351,7 @@ class BernoulliBoundary:
 
     def bayes_risk(self, params, pairs) -> Scalar:
         """pairs: (parameter point, weight); weights sum to 1."""
-        total = None
-        for t, w in pairs:
-            term = w * self.risk(params, t)
-            total = term if total is None else total + term
-        return total
+        return sum(w * self.risk(params, t) for t, w in pairs)
 
     def optimal_rule(self, pairs) -> Tuple[Scalar, Scalar]:
         """Posterior means of g per observation; exact in the scalar field.
@@ -357,19 +360,11 @@ class BernoulliBoundary:
         its component is set to the prior mean of g (any action is
         optimal there).
         """
-        prior_mean = None
-        heads_num = heads_den = tails_num = tails_den = None
-        for t, w in pairs:
-            g = self.success_probability(t)
-            wg = w * g
-            prior_mean = wg if prior_mean is None else prior_mean + wg
-            h_n, h_d = wg * g, wg                 # heads weight w*g
-            t_d = w * (1 - g)                     # tails weight w*(1-g)
-            t_n = t_d * g
-            heads_num = h_n if heads_num is None else heads_num + h_n
-            heads_den = h_d if heads_den is None else heads_den + h_d
-            tails_num = t_n if tails_num is None else tails_num + t_n
-            tails_den = t_d if tails_den is None else tails_den + t_d
+        weighted = [(w, self.success_probability(t)) for t, w in pairs]
+        prior_mean = heads_den = sum(w * g for w, g in weighted)  # heads weight w*g
+        heads_num = sum(w * g * g for w, g in weighted)
+        tails_den = sum(w * (1 - g) for w, g in weighted)        # tails weight w*(1-g)
+        tails_num = sum(w * (1 - g) * g for w, g in weighted)
         tails = prior_mean if tails_den == 0 else tails_num / tails_den
         heads = prior_mean if heads_den == 0 else heads_num / heads_den
         return (tails, heads)
@@ -380,16 +375,8 @@ class BernoulliBoundary:
     @staticmethod
     def ball_mass(prior: LCPrior, center: Fraction, radius: Fraction) -> LCNumber:
         """Exact mass a finite-support prior places on (center-r, center+r)."""
-        total = None
-        zero = None
-        for point, w in zip(prior.support, prior.weights):
-            t = point[0]
-            zero = 0 * w if zero is None else zero
-            if abs(t - center) < radius:
-                total = w if total is None else total + w
-        if total is None:
-            return zero if zero is not None else LCNumber(0)
-        return total
+        return sum((w for point, w in zip(prior.support, prior.weights)
+                    if abs(point[0] - center) < radius), _zero_of(prior.weights))
 
 
 # ----------------------------------------------------------------------
@@ -422,12 +409,8 @@ def _prior_bayes_risk(family, params, prior_spec) -> Scalar:
             raise TypeError("Gaussian conjugate prior applies to the location family")
         return family.bayes_risk_gaussian(params, prior_spec.scale)
     if isinstance(prior_spec, LCPrior):
-        pairs = [(point, w) for point, w in zip(prior_spec.support, prior_spec.weights)]
-        total = None
-        for point, w in pairs:
-            term = w * family.risk(params, point)
-            total = term if total is None else total + term
-        return total
+        return sum(w * family.risk(params, point)
+                   for point, w in zip(prior_spec.support, prior_spec.weights))
     raise TypeError(f"unsupported prior specification {type(prior_spec).__name__}")
 
 
@@ -437,19 +420,15 @@ def _prior_regularity(family, prior_spec, epsilon: LCNumber,
         return check_epsilon_regular_normal(family.dim, prior_spec.scale,
                                             epsilon, probes)
     # finite support: ball masses are exact, lower = upper
+    zero = _zero_of(prior_spec.weights)
     bounds = []
     for probe in probes:
         _validate_probe(probe)
         center, radius = probe
-        total = None
-        for point, w in zip(prior_spec.support, prior_spec.weights):
-            dist_sq = None
-            for t, c in zip(point, center):
-                d2 = (t - c) * (t - c)
-                dist_sq = d2 if dist_sq is None else dist_sq + d2
-            if dist_sq < radius * radius:
-                total = w if total is None else total + w
-        mass = total if total is not None else 0 * prior_spec.weights[0]
+        inside = [w for point, w in zip(prior_spec.support, prior_spec.weights)
+                  if sum((t - c) * (t - c) for t, c in zip(point, center))
+                  < radius * radius]
+        mass = sum(inside, zero)
         bounds.append((probe, (mass, mass)))
     return _regularity_from_bounds(bounds, epsilon)
 

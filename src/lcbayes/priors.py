@@ -80,12 +80,9 @@ class LCPrior:
             raise ValueError("support and weights must have equal length")
         if not self.support:
             raise ValueError("prior needs at least one support point")
-        total = None
-        for w in self.weights:
-            if w < 0:
-                raise ValueError("prior weights must be nonnegative")
-            total = w if total is None else total + w
-        if total != 1:
+        if any(w < 0 for w in self.weights):
+            raise ValueError("prior weights must be nonnegative")
+        if sum(self.weights) != 1:
             raise ValueError("prior weights must sum exactly to 1")
 
     @staticmethod
@@ -117,17 +114,10 @@ def minimal_posterior_scores(problem: FiniteProblem, prior: Prior):
         weights[idx] = weights.get(idx, 0) + w
     scores, argmins = [], []
     for x in range(problem.n_observations):
-        per_action = []
-        for a in range(problem.n_actions):
-            total = None
-            for s, w in weights.items():
-                term = w * (problem.model[s][x] * problem.loss[s][a])
-                total = term if total is None else total + term
-            per_action.append(total)
-        best = per_action[0]
-        for v in per_action[1:]:
-            if v < best:
-                best = v
+        per_action = [sum(w * (problem.model[s][x] * problem.loss[s][a])
+                          for s, w in weights.items())
+                      for a in range(problem.n_actions)]
+        best = min(per_action)
         scores.append(best)
         argmins.append(tuple(a for a, v in enumerate(per_action) if v == best))
     return scores, argmins
@@ -136,10 +126,7 @@ def minimal_posterior_scores(problem: FiniteProblem, prior: Prior):
 def minimal_bayes_risk(problem: FiniteProblem, prior: Prior):
     """Exact minimum Bayes risk over all randomized procedures."""
     scores, _ = minimal_posterior_scores(problem, prior)
-    total = scores[0]
-    for v in scores[1:]:
-        total = total + v
-    return total
+    return sum(scores)
 
 
 def synthesize_prior(problem: FiniteProblem, procedure: Procedure) -> GameAnalysis:
@@ -279,16 +266,11 @@ def pushdown_risk_consistency(family, procedure_params, prior: LCPrior):
     the family's risk is continuous (e.g. polynomial) in the parameter at
     the support's standard parts; a False flag detects a discontinuity.
     """
-    lc_total = None
-    for point, weight in zip(prior.support, prior.weights):
-        term = weight * family.risk(procedure_params, point)
-        lc_total = term if lc_total is None else lc_total + term
-
+    lc_total = sum(weight * family.risk(procedure_params, point)
+                   for point, weight in zip(prior.support, prior.weights))
     pushed = pushdown(prior)
-    std_total = None
-    for point, weight in zip(pushed.support, pushed.weights):
-        term = weight * family.risk(procedure_params, point)
-        std_total = term if std_total is None else std_total + term
+    std_total = sum(weight * family.risk(procedure_params, point)
+                    for point, weight in zip(pushed.support, pushed.weights))
 
     agree = lc_total.standard_part() == std_total
     return lc_total, std_total, agree

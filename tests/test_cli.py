@@ -143,7 +143,8 @@ def test_synthesize_prior_bad_index(capsys, fp2_files):
     {"kind": "nonrandomized", "map": [5]},
     {"kind": "nonrandomized", "map": [0, 1]},
     {"kind": "randomized", "matrix": [["1/3", "1/3", "1/3"]]},
-], ids=["action-out-of-range", "wrong-row-count", "wrong-row-length"])
+    {"kind": "randomized", "matrix": ["10"]},
+], ids=["action-out-of-range", "wrong-row-count", "wrong-row-length", "string-row"])
 def test_malformed_procedure_is_bad_input(capsys, tmp_path, fp1_files, command, bad):
     problem, _ = fp1_files
     procedures = tmp_path / "bad.json"
@@ -193,6 +194,28 @@ def test_bare_string_entry_is_named(capsys, tmp_path, fp1_files, command, field,
     assert code == 2
     assert captured.out == ""
     assert captured.err == f'error: {field[:-1]} entry "{entry}" must be a JSON object\n'
+
+
+@pytest.mark.parametrize("command", [["classify"], ["synthesize-prior", "--procedure", "0"]],
+                         ids=["classify", "synthesize-prior"])
+@pytest.mark.parametrize("field, value, message", [
+    ("observations", "x", "observations must be a list, got 'x'"),
+    ("model", ["1", "1"], "model row 0 must be a list, got '1'"),
+], ids=["observations", "model-rows"])
+def test_string_for_list_is_named(capsys, tmp_path, fp1_files, command, field, value,
+                                  message):
+    # these strings used to be iterated character by character and classified
+    problem_path, procedures = fp1_files
+    payload = json.loads(open(problem_path).read())
+    payload[field] = value
+    broken = tmp_path / "string.json"
+    broken.write_text(json.dumps(payload))
+    code = main(["finite", command[0], str(broken), "--procedures", procedures]
+                + command[1:])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 # ----------------------------------------------------------------------

@@ -226,3 +226,23 @@ def test_invalid_problems_rejected():
         FiniteProblem.build(["t"], ["x"], ["a"], model=[[1]], loss=[[-1]])
     with pytest.raises(InvalidProblem):
         FiniteProblem.build(["t"], ["x"], ["a"], model=[[2]], loss=[[0]])
+    # strings and dicts are iterable, but their items are not table entries
+    valid = dict(states=["t"], observations=["x"], actions=["a"], model=[[1]], loss=[[0]])
+    for field, value in [("states", "t"), ("observations", "x"), ("actions", "a"),
+                         ("model", "1"), ("loss", "0"), ("model", ["1"]), ("loss", ["0"]),
+                         ("observations", {"x": 0}), ("states", [("t", "0")])]:
+        with pytest.raises(InvalidProblem):
+            FiniteProblem.build(**{**valid, field: value})
+
+
+@pytest.mark.parametrize("action_map", [[1.7], [True], ["1"], "0"],
+                         ids=["float", "bool", "string-entry", "string-map"])
+def test_nonrandomized_map_needs_integer_actions(action_map):
+    with pytest.raises(InvalidProblem):
+        Procedure.nonrandomized(action_map)
+
+
+@pytest.mark.parametrize("rows", ["1", ["10"]], ids=["string-matrix", "string-row"])
+def test_randomized_rows_must_be_lists(rows):
+    with pytest.raises(InvalidProblem):
+        Procedure.randomized(rows)
