@@ -68,6 +68,13 @@ def _require_list(value, what: str):
         raise InvalidProblem(f"{what} must be a list, got {value!r}")
 
 
+def _label(value, what: str) -> str:
+    # str() would turn JSON null into the label "None" and 7 into "7"
+    if not isinstance(value, str):
+        raise InvalidProblem(f"{what} label must be a string, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class FiniteProblem:
     state_labels: Tuple[str, ...]
@@ -94,21 +101,21 @@ class FiniteProblem:
             if isinstance(s, tuple):
                 label, coords = s
                 _require_list(coords, "state coords")
-                state_labels.append(str(label))
+                state_labels.append(_label(label, "state"))
                 state_coords.append(tuple(_frac(c, "state coords") for c in coords))
             else:
-                state_labels.append(str(s))
+                state_labels.append(_label(s, "state"))
                 state_coords.append(None)
         action_labels, action_values = [], []
         for a in actions:
             if isinstance(a, tuple):
                 label, value = a
-                action_labels.append(str(label))
+                action_labels.append(_label(label, "action"))
                 action_values.append(None if value is None else _frac(a[1], "action value"))
             else:
-                action_labels.append(str(a))
+                action_labels.append(_label(a, "action"))
                 action_values.append(None)
-        obs_labels = tuple(str(o) for o in observations)
+        obs_labels = tuple(_label(o, "observation") for o in observations)
 
         n_states, n_obs, n_actions = len(state_labels), len(obs_labels), len(action_labels)
         if n_states == 0 or n_obs == 0 or n_actions == 0:

@@ -91,12 +91,6 @@ class LCPrior:
         one = LCNumber(1, min(c.order for c in pt))
         return LCPrior((pt,), (one,))
 
-    @staticmethod
-    def from_pairs(pairs: Sequence[Tuple[Sequence[LCNumber], LCNumber]]) -> "LCPrior":
-        support = tuple(tuple(pt) for pt, _ in pairs)
-        weights = tuple(w for _, w in pairs)
-        return LCPrior(support, weights)
-
 
 # ----------------------------------------------------------------------
 # prior synthesis

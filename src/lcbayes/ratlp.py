@@ -3,9 +3,11 @@
 Two-phase primal simplex with Bland's anti-cycling rule, pivoting
 fraction-free: each tableau row is a list of Python ints over one
 positive row denominator, so a pivot costs integer multiplications and
-one gcd per updated row instead of a Fraction per entry.  The
-reduced-cost row of each phase is priced once and then updated by every
-pivot like any other row.  Every solve returns an exact certificate:
+one gcd per updated row instead of a Fraction per entry.  The tableau is
+built from :class:`LPProblem` in one pass, straight to those integer
+rows.  The reduced-cost row of each phase is priced once and then
+updated by every pivot like any other row.  Every solve returns an exact
+certificate:
 
 * ``OPTIMAL``  - primal and dual solutions with duality gap exactly 0,
 * ``INFEASIBLE`` - Farkas multipliers aggregating the constraints into
@@ -15,8 +17,8 @@ pivot like any other row.  Every solve returns an exact certificate:
 An independent checker, :func:`check_certificate`, re-validates each
 certificate in exact :class:`fractions.Fraction` arithmetic from the
 original problem data, sharing nothing with the integer tableau;
-:func:`solve_lp` runs it before returning, so a returned solution is
-always verified.
+:func:`solve_lp` runs it on every solve before returning, so a returned
+solution is always verified.
 
 The intended instances are small (up to a few hundred columns), so a
 dense exact tableau is the right trade: no tolerances, no conditioning
@@ -158,94 +160,10 @@ class LPSolution:
 
 
 # ----------------------------------------------------------------------
-# internal normalized form
+# fraction-free simplex
 # ----------------------------------------------------------------------
 
-
-class _Normalized:
-    """Equality-form tableau data for the simplex.
-
-    Original variables are expanded to nonnegative columns (free ones are
-    split), finite upper bounds become extra <= rows, and rows with
-    negative right-hand sides are sign-flipped so b >= 0 throughout.
-    """
-
-    def __init__(self, p: LPProblem):
-        self.problem = p
-        n = p.n_vars()
-        # var j -> (positive column, optional negative column)
-        self.var_cols: list[Tuple[int, Optional[int]]] = []
-        col = 0
-        for j in range(n):
-            if p.lower[j] is None:
-                self.var_cols.append((col, col + 1))
-                col += 2
-            else:
-                self.var_cols.append((col, None))
-                col += 1
-        self.n_struct = col
-
-        rows: list[list[Fraction]] = []
-        relations: list[str] = []
-        rhs: list[Fraction] = []
-        # original rows
-        for i, row in enumerate(p.rows):
-            rows.append(self._expand(row))
-            relations.append(p.relations[i])
-            rhs.append(p.rhs[i])
-        # upper bounds as rows; remember which internal row serves var j
-        self.bound_row_of_var: dict[int, int] = {}
-        for j in range(n):
-            if p.upper[j] is not None:
-                unit = [Fraction(0)] * n
-                unit[j] = Fraction(1)
-                self.bound_row_of_var[j] = len(rows)
-                rows.append(self._expand(unit))
-                relations.append(LEQ)
-                rhs.append(p.upper[j])
-
-        # flip rows to make rhs nonnegative
-        self.flip: list[int] = []
-        for i in range(len(rows)):
-            if rhs[i] < 0:
-                rows[i] = [-a for a in rows[i]]
-                rhs[i] = -rhs[i]
-                relations[i] = {LEQ: GEQ, GEQ: LEQ, EQ: EQ}[relations[i]]
-                self.flip.append(-1)
-            else:
-                self.flip.append(1)
-
-        self.rows = rows
-        self.relations = relations
-        self.rhs = rhs
-        self.n_rows = len(rows)
-
-    def _expand(self, row: Sequence[Fraction]) -> list[Fraction]:
-        out = [Fraction(0)] * self.n_struct
-        for j, a in enumerate(row):
-            pos, neg = self.var_cols[j]
-            out[pos] = a
-            if neg is not None:
-                out[neg] = -a
-        return out
-
-    def expanded_objective(self) -> list[Fraction]:
-        out = [Fraction(0)] * self.n_struct
-        for j, c in enumerate(self.problem.objective):
-            pos, neg = self.var_cols[j]
-            out[pos] = c
-            if neg is not None:
-                out[neg] = -c
-        return out
-
-    def collapse(self, struct_values: Sequence[Fraction]) -> Tuple[Fraction, ...]:
-        out = []
-        for pos, neg in self.var_cols:
-            v = struct_values[pos]
-            if neg is not None:
-                v -= struct_values[neg]
-            out.append(v)
-        return tuple(out)
+_FLIPPED = {LEQ: GEQ, GEQ: LEQ, EQ: EQ}
 
 
 def _lowest_terms(nums: list[int], den: int) -> Tuple[list[int], int]:
@@ -263,7 +181,12 @@ def _eliminate(row: list[int], den: int, f: int,
 
 
 class _Tableau:
-    """Fraction-free simplex tableau.
+    """Fraction-free simplex tableau, built from an :class:`LPProblem` in one pass.
+
+    Each free variable becomes two nonnegative columns, x = x+ - x-; each
+    finite upper bound becomes a <= row after the problem's rows; each
+    row with a negative right-hand side is negated, so b >= 0 throughout.
+    Every row then gets its slack, surplus or artificial columns.
 
     Row i is a list of Python ints: the numerators of its coefficients,
     then the numerator of its right-hand side, all over the one positive
@@ -275,40 +198,68 @@ class _Tableau:
     updated by each pivot like any other row.
     """
 
-    def __init__(self, norm: _Normalized):
-        self.norm = norm
-        m = norm.n_rows
-        self.basis: list[int] = []
-        self.row_ids = list(range(m))  # live tableau row -> internal row index
+    def __init__(self, problem: LPProblem):
+        self.problem = problem
+        self.free = [b is None for b in problem.lower]
+        self.bounded = [j for j, b in enumerate(problem.upper) if b is not None]
+        self.n_struct = problem.n_vars() + sum(self.free)
 
-        # slack/surplus/artificial columns, as (row, column, value)
-        units: list[Tuple[int, int, int]] = []
+        # the problem's rows, then one unit row x_j <= upper_j per bounded variable
+        bound_rows = []
+        for j in self.bounded:
+            unit = [0] * problem.n_vars()
+            unit[j] = 1
+            bound_rows.append((unit, LEQ, problem.upper[j]))
+        built = []  # (structural numerators, rhs numerator, row denominator, relation)
+        self.flip: list[int] = []
+        for coeffs, rel, b in [*zip(problem.rows, problem.relations, problem.rhs),
+                               *bound_rows]:
+            den = math.lcm(b.denominator, *(a.denominator for a in coeffs))
+            nums = self.split([a.numerator * (den // a.denominator) for a in coeffs])
+            rhs = b.numerator * (den // b.denominator)
+            sign = -1 if rhs < 0 else 1
+            if sign < 0:
+                nums, rhs, rel = [-a for a in nums], -rhs, _FLIPPED[rel]
+            self.flip.append(sign)
+            built.append((nums, rhs, den, rel))
+
+        # slack/surplus/artificial columns: plain ints, each row's own unit column
+        width = self.n_struct + len(built) + sum(rel == GEQ for *_, rel in built)
+        padding = [0] * (width - self.n_struct)
+        self.rows: list[list[int]] = []
+        self.den: list[int] = []
+        self.basis: list[int] = []
         self.art_cols: set[int] = set()
-        self.init_col_of_row: list[int] = [0] * m
-        col = norm.n_struct
-        for i in range(m):
-            rel = norm.relations[i]
+        col = self.n_struct
+        for nums, rhs, den, rel in built:
+            row = nums + padding + [rhs]
             if rel == GEQ:
-                units.append((i, col, -1))
+                row[col] = -den
                 col += 1
             if rel != LEQ:
                 self.art_cols.add(col)
-            units.append((i, col, 1))
-            self.init_col_of_row[i] = col
+            row[col] = den
             self.basis.append(col)
             col += 1
-        self.n_cols = col
-
-        self.rows: list[list[int]] = []
-        self.den: list[int] = []
-        padding = [0] * (col - norm.n_struct)
-        for row, b in zip(norm.rows, norm.rhs):
-            den = math.lcm(b.denominator, *(v.denominator for v in row))
-            self.rows.append([v.numerator * (den // v.denominator) for v in row] + padding
-                             + [b.numerator * (den // b.denominator)])
+            self.rows.append(row)
             self.den.append(den)
-        for i, j, value in units:
-            self.rows[i][j] = value * self.den[i]
+        self.n_cols = width
+        self.init_cols = list(self.basis)  # internal row -> its initial basic column
+        self.row_ids = list(range(len(built)))  # live tableau row -> internal row
+
+    def split(self, values: Sequence) -> list:
+        """Values per variable -> per structural column (the x- of a free x negated)."""
+        out = []
+        for v, free in zip(values, self.free):
+            out.append(v)
+            if free:
+                out.append(-v)
+        return out
+
+    def _collapse(self, values: Sequence[Fraction]) -> Tuple[Fraction, ...]:
+        """Values per column -> per variable (x = x+ - x- for a free x)."""
+        cols = iter(values)
+        return tuple(next(cols) - next(cols) if free else next(cols) for free in self.free)
 
     # -- simplex machinery ------------------------------------------------
 
@@ -373,25 +324,57 @@ class _Tableau:
                 return entering
             self.pivot(leaving, entering)
 
-    def drop_row(self, row: int):
-        del self.rows[row]
-        del self.den[row]
-        del self.basis[row]
-        del self.row_ids[row]
+    def purge_artificials(self):
+        """Pivot zero-level artificials out of the basis; drop redundant rows."""
+        i = 0
+        while i < len(self.rows):
+            if self.basis[i] in self.art_cols:
+                target = next((j for j in range(self.n_cols)
+                               if j not in self.art_cols and self.rows[i][j] != 0), None)
+                if target is None:
+                    del self.rows[i], self.den[i], self.basis[i], self.row_ids[i]
+                    continue
+                self.pivot(i, target)
+            i += 1
 
-    def duals(self) -> list[Fraction]:
-        """y_i per internal row (dropped redundant rows get dual 0)."""
-        out = [Fraction(0)] * self.norm.n_rows
-        for internal in set(self.row_ids):
-            col = self.init_col_of_row[internal]
-            out[internal] = Fraction(self.obj[col], self.obj_den) + self.cost[col]
-        return out
+    # -- reading the certificate off the tableau ---------------------------
+
+    def point(self, entering: Optional[int] = None) -> Tuple[Fraction, ...]:
+        """The basic solution per variable, or the ray along nonbasic column ``entering``.
+
+        Along the ray x_entering grows by 1 and each basic variable by -a_ie.
+        """
+        values = [Fraction(0)] * self.n_cols
+        column, sign = -1, 1
+        if entering is not None:
+            values[entering] = Fraction(1)
+            column, sign = entering, -1
+        for row, den, col in zip(self.rows, self.den, self.basis):
+            values[col] = Fraction(sign * row[column], den)
+        return self._collapse(values)
+
+    def multipliers(self) -> Tuple[Tuple[Fraction, ...], Tuple[Fraction, ...]]:
+        """Multipliers of the problem's rows and of its upper bounds.
+
+        They are the dual prices of the internal rows, read off the reduced
+        cost of each row's initial basic column: the optimal duals after
+        phase 2, the Farkas multipliers after an infeasible phase 1.  A
+        row dropped as redundant gets 0; a negated row's sign is restored.
+        """
+        y = [Fraction(0)] * len(self.flip)
+        for i in self.row_ids:
+            col = self.init_cols[i]
+            y[i] = self.flip[i] * (Fraction(self.obj[col], self.obj_den) + self.cost[col])
+        m = len(self.problem.rows)
+        bounds = [Fraction(0)] * self.problem.n_vars()
+        for j, dual in zip(self.bounded, y[m:]):
+            bounds[j] = dual
+        return tuple(y[:m]), tuple(bounds)
 
 
-def solve_lp(problem: LPProblem, verify: bool = True) -> LPSolution:
-    """Solve and (by default) re-verify the returned certificate."""
-    norm = _Normalized(problem)
-    tab = _Tableau(norm)
+def solve_lp(problem: LPProblem) -> LPSolution:
+    """Solve ``problem`` and re-verify the returned certificate."""
+    tab = _Tableau(problem)
 
     # phase 1: maximize -(sum of artificials)
     cost1 = [Fraction(0)] * tab.n_cols
@@ -402,76 +385,24 @@ def solve_lp(problem: LPProblem, verify: bool = True) -> LPSolution:
         raise CertificateError("phase 1 reported unbounded")
 
     if tab.objective_value() != 0:
-        solution = _infeasible_solution(norm, tab.duals())
+        farkas_rows, farkas_bounds = tab.multipliers()
+        solution = LPSolution(LPStatus.INFEASIBLE, farkas_rows=farkas_rows,
+                              farkas_bounds=farkas_bounds)
     else:
-        _purge_artificials(tab)
-        cost2 = norm.expanded_objective() + [Fraction(0)] * (tab.n_cols - norm.n_struct)
+        tab.purge_artificials()
+        cost2 = tab.split(problem.objective) + [Fraction(0)] * (tab.n_cols - tab.n_struct)
         entering = tab.run(cost2, lambda j: j not in tab.art_cols)
         if entering is None:
-            solution = _optimal_solution(norm, tab)
+            row_duals, bound_duals = tab.multipliers()
+            solution = LPSolution(LPStatus.OPTIMAL, x=tab.point(),
+                                  objective_value=tab.objective_value(),
+                                  row_duals=row_duals, bound_duals=bound_duals)
         else:
-            solution = _unbounded_solution(norm, tab, entering)
+            solution = LPSolution(LPStatus.UNBOUNDED, ray=tab.point(entering),
+                                  ray_origin=tab.point())
 
-    if verify:
-        check_certificate(problem, solution)
+    check_certificate(problem, solution)
     return solution
-
-
-def _purge_artificials(tab: _Tableau):
-    """Pivot zero-level artificials out of the basis; drop redundant rows."""
-    i = 0
-    while i < len(tab.rows):
-        if tab.basis[i] in tab.art_cols:
-            target = None
-            for j in range(tab.n_cols):
-                if j not in tab.art_cols and tab.rows[i][j] != 0:
-                    target = j
-                    break
-            if target is None:
-                tab.drop_row(i)
-                continue
-            tab.pivot(i, target)
-        i += 1
-
-
-def _struct_values(tab: _Tableau) -> list[Fraction]:
-    values = [Fraction(0)] * tab.n_cols
-    for row, den, col in zip(tab.rows, tab.den, tab.basis):
-        values[col] = Fraction(row[-1], den)
-    return values[:tab.norm.n_struct]
-
-
-def _optimal_solution(norm: _Normalized, tab: _Tableau) -> LPSolution:
-    p = norm.problem
-    x = norm.collapse(_struct_values(tab))
-    value = tab.objective_value()
-    y = tab.duals()
-    row_duals = tuple(norm.flip[i] * y[i] for i in range(len(p.rows)))
-    bound_duals = [Fraction(0)] * p.n_vars()
-    for j, internal in norm.bound_row_of_var.items():
-        bound_duals[j] = norm.flip[internal] * y[internal]
-    return LPSolution(LPStatus.OPTIMAL, x=x, objective_value=value,
-                      row_duals=row_duals, bound_duals=tuple(bound_duals))
-
-
-def _infeasible_solution(norm: _Normalized, y) -> LPSolution:
-    p = norm.problem
-    farkas_rows = tuple(norm.flip[i] * y[i] for i in range(len(p.rows)))
-    farkas_bounds = [Fraction(0)] * p.n_vars()
-    for j, internal in norm.bound_row_of_var.items():
-        farkas_bounds[j] = norm.flip[internal] * y[internal]
-    return LPSolution(LPStatus.INFEASIBLE, farkas_rows=farkas_rows,
-                      farkas_bounds=tuple(farkas_bounds))
-
-
-def _unbounded_solution(norm: _Normalized, tab: _Tableau, entering: int) -> LPSolution:
-    origin = norm.collapse(_struct_values(tab))
-    direction = [Fraction(0)] * tab.n_cols
-    direction[entering] = Fraction(1)
-    for row, den, col in zip(tab.rows, tab.den, tab.basis):
-        direction[col] = Fraction(-row[entering], den)
-    ray = norm.collapse(direction[:norm.n_struct])
-    return LPSolution(LPStatus.UNBOUNDED, ray=ray, ray_origin=origin)
 
 
 # ----------------------------------------------------------------------

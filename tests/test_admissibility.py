@@ -194,9 +194,9 @@ def test_domination_query_solves_each_lp_once(monkeypatch):
     flat_witness = check_admissible(flat, ALWAYS_A2).witness
     calls = []
 
-    def counting_solve(lp, verify=True):
+    def counting_solve(lp):
         calls.append(lp)
-        return solve_lp(lp, verify)
+        return solve_lp(lp)
 
     monkeypatch.setattr(lcbayes.admissibility, "solve_lp", counting_solve)
     monkeypatch.setattr(lcbayes.priors, "solve_lp", counting_solve)

@@ -218,6 +218,23 @@ def test_string_for_list_is_named(capsys, tmp_path, fp1_files, command, field, v
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("command", [["classify"], ["synthesize-prior", "--procedure", "0"]],
+                         ids=["classify", "synthesize-prior"])
+def test_null_label_is_bad_input(capsys, tmp_path, fp1_files, command):
+    # a null label used to become the state "None"
+    problem_path, procedures = fp1_files
+    payload = json.loads(open(problem_path).read())
+    payload["states"][0]["label"] = None
+    broken = tmp_path / "null-label.json"
+    broken.write_text(json.dumps(payload))
+    code = main(["finite", command[0], str(broken), "--procedures", procedures]
+                + command[1:])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: state label must be a string, got None\n"
+
+
 # ----------------------------------------------------------------------
 # examples
 # ----------------------------------------------------------------------

@@ -230,7 +230,11 @@ def test_invalid_problems_rejected():
     valid = dict(states=["t"], observations=["x"], actions=["a"], model=[[1]], loss=[[0]])
     for field, value in [("states", "t"), ("observations", "x"), ("actions", "a"),
                          ("model", "1"), ("loss", "0"), ("model", ["1"]), ("loss", ["0"]),
-                         ("observations", {"x": 0}), ("states", [("t", "0")])]:
+                         ("observations", {"x": 0}), ("states", [("t", "0")]),
+                         # labels are strings: str() would make None the label "None"
+                         ("states", [None]), ("states", [7]), ("states", [(7, [0])]),
+                         ("observations", [1]), ("actions", [["b"]]),
+                         ("actions", [(None, 0)])]:
         with pytest.raises(InvalidProblem):
             FiniteProblem.build(**{**valid, field: value})
 

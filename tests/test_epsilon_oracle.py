@@ -161,9 +161,9 @@ def test_game_epsilon_star_matches_uniform_lp():
 def test_classify_solves_one_lp_unless_epsilon_star_is_zero(monkeypatch):
     calls = []
 
-    def counting_solve(lp, verify=True):
+    def counting_solve(lp):
         calls.append(lp)
-        return solve_lp(lp, verify)
+        return solve_lp(lp)
 
     monkeypatch.setattr(lcbayes.admissibility, "solve_lp", counting_solve)
     monkeypatch.setattr(lcbayes.priors, "solve_lp", counting_solve)

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import lcbayes.ratlp
 from lcbayes.ratlp import (CertificateError, LPProblem, LPSolution, LPStatus,
                            MalformedProblem, check_certificate, solve_lp)
 
@@ -148,3 +149,17 @@ def test_randomized_instances_all_certified():
     assert statuses[LPStatus.OPTIMAL] > 0
     assert statuses[LPStatus.INFEASIBLE] > 0
     assert statuses[LPStatus.UNBOUNDED] > 0
+
+
+def test_every_solve_is_verified(monkeypatch):
+    # solve_lp has no way to skip the checker: its verdict reaches the caller
+    def rejecting_check(problem, solution):
+        raise CertificateError(f"rejected {solution.status.value}")
+
+    monkeypatch.setattr(lcbayes.ratlp, "check_certificate", rejecting_check)
+    for lp, status in [
+            (LPProblem.build([1], [[1]], ["<="], [3]), "optimal"),
+            (LPProblem.build([1], [[1], [1]], [">=", "<="], [1, 0]), "infeasible"),
+            (LPProblem.build([1, -1], [[0, 1]], ["<="], [5]), "unbounded")]:
+        with pytest.raises(CertificateError, match=f"rejected {status}"):
+            solve_lp(lp)

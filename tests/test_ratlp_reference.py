@@ -392,9 +392,9 @@ def classify_lps(monkeypatch, problem: FiniteProblem, procedures) -> tuple:
     """
     seen = []
 
-    def recording_solve(lp, verify=True):
+    def recording_solve(lp):
         seen.append(lp)
-        return solve_lp(lp, verify)
+        return solve_lp(lp)
 
     monkeypatch.setattr(lcbayes.admissibility, "solve_lp", recording_solve)
     monkeypatch.setattr(lcbayes.priors, "solve_lp", recording_solve)
