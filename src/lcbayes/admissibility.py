@@ -7,12 +7,14 @@ rules, so verdicts against "all randomized procedures" and against
 "all mixtures of nonrandomized rules" coincide; no enumeration of the
 |A|^|X| nonrandomized rules is ever needed.
 
-All verdicts are exact.  epsilon* and a rule that improves on the
-candidate by epsilon* at every state are read off the prior-game LP of
-:func:`lcbayes.priors.synthesize_prior`: its value is -epsilon* and its
-duals are the improving rule.  When epsilon* > 0 that rule dominates the
-candidate and is the witness.  Only when epsilon* = 0 is a second LP,
-for strict admissibility, solved; its primal gives the witness.
+All verdicts are exact and come from one LP, the prior game of
+:func:`lcbayes.priors.synthesize_prior` with every prior weight floored
+at a positive infinitesimal eta.  Its value is -(epsilon* + eta S*),
+where epsilon* is the largest uniform improvement over the candidate and
+S* the largest total slack of a rule that improves by epsilon*; its
+duals are such a rule.  The candidate is extended admissible iff
+epsilon* = 0 and admissible iff also S* = 0; otherwise that rule
+dominates it and is the witness.
 """
 
 from __future__ import annotations
@@ -21,11 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple, Union
 
-from .decision import (FiniteProblem, Procedure, ShapeMismatch, procedure_from_values,
-                       risk_vector)
+from .decision import FiniteProblem, Procedure, ShapeMismatch, risk_vector
 from .lcnum import LCNumber, approx_eq
 from .priors import GameAnalysis, synthesize_prior
-from .ratlp import EQ, LPProblem, LPStatus, solve_lp
 
 ALL_RANDOMIZED = "all-randomized"
 
@@ -112,52 +112,19 @@ def max_uniform_improvement(problem: FiniteProblem,
 def check_admissible(problem: FiniteProblem, procedure: Procedure) -> AdmissibilityVerdict:
     """Exact admissibility and extended admissibility in one verdict.
 
-    The prior-game LP gives epsilon*.  If epsilon* > 0 the candidate is
-    neither admissible nor extended admissible, and the game's improver,
-    better by epsilon* at every state, is the witness.  Otherwise solve
-    for strict admissibility: maximize the total slack sum_theta s_theta
-    subject to risk(theta, D) + s_theta = risk(theta, candidate),
-    s >= 0, over randomized D.  The candidate is admissible iff the
-    optimum is 0; otherwise the optimizing D dominates it (weakly
-    everywhere, strictly where s_theta > 0).
+    The floored prior game gives epsilon* and S*.  If epsilon* > 0 the
+    candidate is neither admissible nor extended admissible; if
+    epsilon* = 0 it is extended admissible, and admissible iff S* = 0.
+    When it is not admissible, the game's improver, better by epsilon* at
+    every state and with total slack S* > 0, dominates it and is the
+    witness.
     """
     game = synthesize_prior(problem, procedure)
     epsilon_star = -game.value
-    if epsilon_star > 0:
-        return AdmissibilityVerdict(admissible=False, extended_admissible=False,
-                                    epsilon_star=epsilon_star, game=game,
-                                    witness=game.improver)
-
-    target = game.candidate_risks
-    n_states, n_obs, n_act = problem.n_states, problem.n_observations, problem.n_actions
-    n_vars = n_states + n_obs * n_act  # s_theta, then delta(x, a)
-
-    objective = [Fraction(1)] * n_states + [Fraction(0)] * (n_obs * n_act)
-    rows, relations, rhs = [], [], []
-    for s in range(n_states):
-        row = [Fraction(0)] * n_vars
-        row[s] = Fraction(1)
-        for x in range(n_obs):
-            for a in range(n_act):
-                row[n_states + x * n_act + a] = problem.model[s][x] * problem.loss[s][a]
-        rows.append(row)
-        relations.append(EQ)
-        rhs.append(target[s])
-    for x in range(n_obs):
-        row = [Fraction(0)] * n_vars
-        for a in range(n_act):
-            row[n_states + x * n_act + a] = Fraction(1)
-        rows.append(row)
-        relations.append(EQ)
-        rhs.append(Fraction(1))
-
-    lp = LPProblem.build(objective, rows, relations, rhs)
-    sol = solve_lp(lp)
-    assert sol.status is LPStatus.OPTIMAL
-    admissible = sol.objective_value == 0
-    witness = None if admissible else procedure_from_values(problem, sol.x, offset=n_states)
-    return AdmissibilityVerdict(admissible=admissible, extended_admissible=True,
-                                epsilon_star=epsilon_star, game=game, witness=witness)
+    admissible = epsilon_star == 0 and game.total_slack == 0
+    return AdmissibilityVerdict(admissible=admissible, extended_admissible=epsilon_star == 0,
+                                epsilon_star=epsilon_star, game=game,
+                                witness=None if admissible else game.improver)
 
 
 def check_lc_domination(candidate_risks: Sequence[LCNumber],

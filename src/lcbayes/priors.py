@@ -6,19 +6,23 @@ problem: over priors pi it maximizes
     [ minimal Bayes risk over all randomized rules under pi ]
       - [ Bayes risk of the candidate under pi ]
 
-using the separability of the inner minimum over observations.  Its
-value v* satisfies v* = -epsilon* exactly (strong duality), and the
-optimizing pi* is a prior under which the candidate is max(0, -v*)-Bayes.
-A separating-hyperplane normal over the finite risk set, normalized to
-total mass one, is exactly such a prior; the LP dual produces it without
-any convex-hull construction.
+using the separability of the inner minimum over observations.  Every
+prior weight is floored at eta, a positive infinitesimal: pi_theta =
+eta + pi'_theta with pi' >= 0.  This is the paper's nonstandard Bayes
+prior made into the LP; the solver keeps eta exact as a second
+coefficient of the right-hand side (:mod:`lcbayes.ratlp`).
 
-The same solve also hands over the other side of the duality.  The
-duals of the (x, a) rows sum to 1 per observation, because m_x is free,
-so they form a randomized rule D, and dual feasibility on pi_theta reads
-risk(theta, D) <= risk(theta, candidate) - epsilon*.  So this one LP
-gives epsilon*, its improving rule and the witness prior;
-:mod:`lcbayes.admissibility` solves a second LP only when epsilon* = 0.
+The game value is -(epsilon* + eta S*): epsilon* is the largest uniform
+improvement over the candidate, and S* the largest total slack
+sum_theta (r(theta, cand) - epsilon* - risk(theta, D)) of a rule D that
+improves by epsilon*.  The duals of the (x, a) rows sum to 1 per
+observation, because m_x is free, so they form a randomized rule D, and
+D attains both epsilon* and S*.  The standard part st(pi) is a prior
+under which the candidate is epsilon*-Bayes: a separating-hyperplane
+normal over the finite risk set, produced without any convex-hull
+construction.  So this one LP gives every verdict of
+:mod:`lcbayes.admissibility`: the candidate is admissible exactly when
+the value is 0, and otherwise D dominates it.
 
 Priors with Levi-Civita weights (possibly supported on infinitesimal or
 otherwise nonstandard points) push down to standard priors by taking
@@ -43,12 +47,13 @@ class GameAnalysis:
     """Outcome of the prior-synthesis game for one candidate procedure."""
 
     value: Fraction                       # v* = -epsilon*, always <= 0
-    witness_prior: Prior
+    witness_prior: Prior                  # st(pi), the standard part of the floored prior
     inner_best_responses: Tuple[Tuple[int, ...], ...]  # optimal actions per observation
     slack: Fraction                       # max(0, -v*): the epsilon in epsilon-Bayes
     prior_possibly_nonunique: bool        # optimal prior is not unique when v* < 0
     improver: Procedure                   # risk <= candidate risk - epsilon* at every state
     candidate_risks: Tuple[Fraction, ...]  # the game's payoff data: r(theta, candidate)
+    total_slack: Fraction                 # S* = -(eta coefficient of the game value)
 
 
 @dataclass(frozen=True)
@@ -124,26 +129,28 @@ def minimal_bayes_risk(problem: FiniteProblem, prior: Prior):
 
 
 def synthesize_prior(problem: FiniteProblem, procedure: Procedure) -> GameAnalysis:
-    """Witness prior and game value for one candidate.
+    """Witness prior, game value and improver for one candidate.
 
-    LP variables: pi_theta >= 0 (summing to 1) and a free m_x per
-    observation; maximize sum_x m_x - sum_theta pi_theta r(theta, cand)
-    subject to m_x <= sum_theta pi_theta P_theta(x) loss(theta, a) for
-    every (x, a).  At the optimum m_x equals the posterior-score minimum,
-    so the value is min_{D} r(pi, D) - r(pi, cand), maximized over pi.
-    The duals of the (x, a) rows are the improver D, which
-    :func:`lcbayes.ratlp.check_certificate` has verified with the solve.
+    LP variables: pi'_theta >= 0 and a free m_x per observation, with
+    pi_theta = eta + pi'_theta summing to 1; maximize sum_x m_x -
+    sum_theta pi_theta r(theta, cand) subject to m_x <= sum_theta
+    pi_theta P_theta(x) loss(theta, a) for every (x, a).  In pi' the
+    rows read sum pi' = 1 - n eta and m_x - sum_theta pi'_theta
+    score(theta, x, a) <= eta sum_theta score(theta, x, a), so eta sits
+    on the right-hand side only, and the LP objective omits the constant
+    -eta sum_theta r(theta, cand).  At the optimum m_x equals the
+    posterior-score minimum, so the value is min_{D} r(pi, D) - r(pi,
+    cand), maximized over the floored priors.  The duals of the (x, a)
+    rows are the improver D, which :func:`lcbayes.ratlp.check_certificate`
+    has verified with the solve.
     """
     target = risk_vector(problem, procedure)
     n_states, n_obs, n_act = problem.n_states, problem.n_observations, problem.n_actions
-    n_vars = n_states + n_obs  # pi_theta, then m_x
+    n_vars = n_states + n_obs  # pi'_theta, then m_x
 
     objective = [-target[s] for s in range(n_states)] + [Fraction(1)] * n_obs
-    rows, relations, rhs = [], [], []
-    row = [Fraction(1)] * n_states + [Fraction(0)] * n_obs
-    rows.append(row)
-    relations.append(EQ)
-    rhs.append(Fraction(1))
+    rows = [[Fraction(1)] * n_states + [Fraction(0)] * n_obs]
+    relations, rhs, rhs_eta = [EQ], [Fraction(1)], [Fraction(-n_states)]
     for x in range(n_obs):
         for a in range(n_act):
             row = [Fraction(0)] * n_vars
@@ -153,9 +160,10 @@ def synthesize_prior(problem: FiniteProblem, procedure: Procedure) -> GameAnalys
             rows.append(row)
             relations.append(LEQ)
             rhs.append(Fraction(0))
+            rhs_eta.append(-sum(row[:n_states]))
 
     lower: list[Optional[Fraction]] = [Fraction(0)] * n_states + [None] * n_obs
-    lp = LPProblem.build(objective, rows, relations, rhs, lower=lower)
+    lp = LPProblem.build(objective, rows, relations, rhs, lower=lower, rhs_eta=rhs_eta)
     sol = solve_lp(lp)
     assert sol.status is LPStatus.OPTIMAL
     value = sol.objective_value
@@ -166,7 +174,8 @@ def synthesize_prior(problem: FiniteProblem, procedure: Procedure) -> GameAnalys
                         inner_best_responses=tuple(argmins), slack=slack,
                         prior_possibly_nonunique=value < 0,
                         improver=procedure_from_values(problem, sol.row_duals, offset=1),
-                        candidate_risks=target)
+                        candidate_risks=target,
+                        total_slack=sum(target) - sol.objective_value_eta)
 
 
 def verify_epsilon_bayes(problem: FiniteProblem, procedure: Procedure,
@@ -189,25 +198,42 @@ def _within_epsilon_of_bayes(problem: FiniteProblem, risks: Sequence[Fraction],
 def classify(problem: FiniteProblem, procedure: Procedure) -> ClassificationReport:
     """Full per-procedure verdict with internal consistency checks.
 
-    The verdict's epsilon* comes from one LP, so it is proved here from
-    the problem data alone: the improver's recomputed risk is at most
+    The verdict comes from one LP, so it is checked here against the
+    problem data: the improver's recomputed risk is at most
     r(theta, candidate) - epsilon* at every state (so epsilon* is
-    attained), and the candidate is epsilon*-Bayes under the witness
-    prior by the separable minimum (so no rule improves by more).
+    attained), its slacks sum to S*, the eta part of the game value, and
+    the candidate is epsilon*-Bayes under the witness prior by the
+    separable minimum (so no rule improves by more).  The verdict must be
+    admissible exactly when epsilon* = 0 and S* = 0, and an inadmissible
+    verdict's witness must improve by epsilon* everywhere and be strictly
+    better somewhere.
     """
     from .admissibility import check_admissible
 
     verdict = check_admissible(problem, procedure)
     game = verdict.game
     epsilon_star = verdict.epsilon_star
+    risks = game.candidate_risks
     improved = risk_vector(problem, game.improver)
-    if any(d > r - epsilon_star for d, r in zip(improved, game.candidate_risks)):
+    slacks = [r - epsilon_star - d for d, r in zip(improved, risks)]
+    if any(s < 0 for s in slacks):
         raise CertificateError(f"improver does not improve uniformly by eps*={epsilon_star}")
-    if not _within_epsilon_of_bayes(problem, game.candidate_risks,
-                                    game.witness_prior, game.slack):
+    total_slack = sum(slacks)
+    if total_slack != game.total_slack:
+        raise CertificateError(f"improver's total slack {total_slack} is not "
+                               f"S*={game.total_slack}")
+    if not _within_epsilon_of_bayes(problem, risks, game.witness_prior, game.slack):
         raise CertificateError("witness prior fails epsilon-Bayes verification")
-    if epsilon_star > 0 and verdict.admissible:
-        raise CertificateError(f"rule with eps*={epsilon_star} classified as admissible")
+    if (verdict.admissible != (epsilon_star == 0 and game.total_slack == 0)
+            or verdict.extended_admissible != (epsilon_star == 0)):
+        raise CertificateError(f"verdict contradicts eps*={epsilon_star}, "
+                               f"S*={game.total_slack}")
+    if not verdict.admissible:
+        beaten = (improved if verdict.witness is game.improver
+                  else risk_vector(problem, verdict.witness))
+        if (any(w > r - epsilon_star for w, r in zip(beaten, risks))
+                or not any(w < r for w, r in zip(beaten, risks))):
+            raise CertificateError("witness does not dominate the candidate")
     return ClassificationReport(
         procedure=procedure,
         admissible=verdict.admissible,

@@ -14,6 +14,15 @@ certificate:
   an impossible inequality,
 * ``UNBOUNDED`` - a feasible point plus an improving ray.
 
+The right-hand side may carry a second part: row i reads
+``rhs[i] + eta * rhs_eta[i]`` for a positive infinitesimal eta.  The
+tableau keeps the eta coefficient as one more integer column and
+compares (standard, eta) pairs lexicographically wherever it compares
+right-hand sides, which is exact simplex over the ordered field Q(eta).
+Since eta sits only on the right-hand side, the reduced costs and so the
+duals and Farkas multipliers stay rational; the primal point and the
+objective value come as a standard part and an eta coefficient.
+
 An independent checker, :func:`check_certificate`, re-validates each
 certificate in exact :class:`fractions.Fraction` arithmetic from the
 original problem data, sharing nothing with the integer tableau;
@@ -69,7 +78,8 @@ class LPProblem:
     """maximize objective @ x subject to rows, relations, rhs and bounds.
 
     ``lower[j]`` is 0 or None (unbounded below); ``upper[j]`` is a finite
-    rational or None (unbounded above).
+    rational or None (unbounded above).  Row i's right-hand side is
+    ``rhs[i] + eta * rhs_eta[i]``, eta a positive infinitesimal.
     """
 
     objective: Tuple[Fraction, ...]
@@ -78,6 +88,7 @@ class LPProblem:
     rhs: Tuple[Fraction, ...]
     lower: Tuple[Optional[Fraction], ...]
     upper: Tuple[Optional[Fraction], ...]
+    rhs_eta: Tuple[Fraction, ...]
 
     @staticmethod
     def build(objective: Sequence[Rational],
@@ -85,16 +96,19 @@ class LPProblem:
               relations: Sequence[str],
               rhs: Sequence[Rational],
               lower: Optional[Sequence[Optional[Rational]]] = None,
-              upper: Optional[Sequence[Optional[Rational]]] = None) -> "LPProblem":
+              upper: Optional[Sequence[Optional[Rational]]] = None,
+              rhs_eta: Optional[Sequence[Rational]] = None) -> "LPProblem":
         n = len(objective)
         if lower is None:
             lower = [0] * n
         if upper is None:
             upper = [None] * n
+        if rhs_eta is None:
+            rhs_eta = [0] * len(rhs)
         if not (len(lower) == len(upper) == n):
             raise MalformedProblem("bounds length must match objective length")
-        if not (len(rows) == len(relations) == len(rhs)):
-            raise MalformedProblem("rows, relations and rhs must have equal length")
+        if not (len(rows) == len(relations) == len(rhs) == len(rhs_eta)):
+            raise MalformedProblem("rows, relations, rhs and rhs_eta must have equal length")
         obj = tuple(_frac(c) for c in objective)
         mat = []
         for row in rows:
@@ -114,7 +128,7 @@ class LPProblem:
                 raise MalformedProblem("lower bounds must be 0 or None")
         up = tuple(None if b is None else _frac(b) for b in upper)
         return LPProblem(obj, tuple(mat), tuple(relations), tuple(_frac(b) for b in rhs),
-                         tuple(lo), up)
+                         tuple(lo), up, tuple(_frac(b) for b in rhs_eta))
 
     def n_vars(self) -> int:
         return len(self.objective)
@@ -131,6 +145,8 @@ class LPProblem:
             "lower": ["-inf" if b is None else fmt(b) for b in self.lower],
             "upper": ["inf" if b is None else fmt(b) for b in self.upper],
         }
+        if any(self.rhs_eta):
+            payload["rhs_eta"] = [fmt(b) for b in self.rhs_eta]
         return json.dumps(payload, sort_keys=True)
 
     @staticmethod
@@ -143,11 +159,15 @@ class LPProblem:
             [Fraction(b) for b in payload["rhs"]],
             [None if b == "-inf" else Fraction(b) for b in payload["lower"]],
             [None if b == "inf" else Fraction(b) for b in payload["upper"]],
+            [Fraction(b) for b in payload["rhs_eta"]] if "rhs_eta" in payload else None,
         )
 
 
 @dataclass(frozen=True)
 class LPSolution:
+    """A solve's certificate.  A point or value v with a ``*_eta`` field
+    stands for v + eta * v_eta; duals, multipliers and rays are rational."""
+
     status: LPStatus
     x: Optional[Tuple[Fraction, ...]] = None
     objective_value: Optional[Fraction] = None
@@ -157,6 +177,9 @@ class LPSolution:
     farkas_bounds: Optional[Tuple[Fraction, ...]] = None
     ray: Optional[Tuple[Fraction, ...]] = None
     ray_origin: Optional[Tuple[Fraction, ...]] = None
+    x_eta: Optional[Tuple[Fraction, ...]] = None
+    objective_value_eta: Optional[Fraction] = None
+    ray_origin_eta: Optional[Tuple[Fraction, ...]] = None
 
 
 # ----------------------------------------------------------------------
@@ -164,6 +187,7 @@ class LPSolution:
 # ----------------------------------------------------------------------
 
 _FLIPPED = {LEQ: GEQ, GEQ: LEQ, EQ: EQ}
+_RHS, _RHS_ETA = -2, -1  # the last two entries of a tableau row
 
 
 def _lowest_terms(nums: list[int], den: int) -> Tuple[list[int], int]:
@@ -185,17 +209,19 @@ class _Tableau:
 
     Each free variable becomes two nonnegative columns, x = x+ - x-; each
     finite upper bound becomes a <= row after the problem's rows; each
-    row with a negative right-hand side is negated, so b >= 0 throughout.
-    Every row then gets its slack, surplus or artificial columns.
+    row whose right-hand side (b, b_eta) is lexicographically negative is
+    negated, so b + eta * b_eta >= 0 throughout.  Every row then gets its
+    slack, surplus or artificial columns.
 
     Row i is a list of Python ints: the numerators of its coefficients,
-    then the numerator of its right-hand side, all over the one positive
-    row denominator ``den[i]``.  A pivot rescales only the rows with a
-    nonzero entry in the entering column and leaves each in lowest terms,
-    so no per-entry Fraction is built.  The reduced-cost row z_j - c_j of
-    the running phase, with the objective value last, is stored the same
-    way over ``obj_den``: it is priced once when a phase starts and then
-    updated by each pivot like any other row.
+    then those of its right-hand side b and of its eta coefficient b_eta,
+    all over the one positive row denominator ``den[i]``.  A pivot
+    rescales only the rows with a nonzero entry in the entering column
+    and leaves each in lowest terms, so no per-entry Fraction is built.
+    The reduced-cost row z_j - c_j of the running phase, with the
+    objective value's standard part and eta coefficient last, is stored
+    the same way over ``obj_den``: it is priced once when a phase starts
+    and then updated by each pivot like any other row.
     """
 
     def __init__(self, problem: LPProblem):
@@ -209,17 +235,18 @@ class _Tableau:
         for j in self.bounded:
             unit = [0] * problem.n_vars()
             unit[j] = 1
-            bound_rows.append((unit, LEQ, problem.upper[j]))
-        built = []  # (structural numerators, rhs numerator, row denominator, relation)
+            bound_rows.append((unit, LEQ, problem.upper[j], 0))
+        built = []  # (structural and rhs numerators, row denominator, relation)
         self.flip: list[int] = []
-        for coeffs, rel, b in [*zip(problem.rows, problem.relations, problem.rhs),
-                               *bound_rows]:
-            den = math.lcm(b.denominator, *(a.denominator for a in coeffs))
+        for coeffs, rel, b, b_eta in [*zip(problem.rows, problem.relations, problem.rhs,
+                                           problem.rhs_eta), *bound_rows]:
+            den = math.lcm(b.denominator, b_eta.denominator,
+                           *(a.denominator for a in coeffs))
             nums = self.split([a.numerator * (den // a.denominator) for a in coeffs])
-            rhs = b.numerator * (den // b.denominator)
-            sign = -1 if rhs < 0 else 1
+            rhs = [v.numerator * (den // v.denominator) for v in (b, b_eta)]
+            sign = -1 if rhs < [0, 0] else 1
             if sign < 0:
-                nums, rhs, rel = [-a for a in nums], -rhs, _FLIPPED[rel]
+                nums, rhs, rel = [-a for a in nums], [-v for v in rhs], _FLIPPED[rel]
             self.flip.append(sign)
             built.append((nums, rhs, den, rel))
 
@@ -232,7 +259,7 @@ class _Tableau:
         self.art_cols: set[int] = set()
         col = self.n_struct
         for nums, rhs, den, rel in built:
-            row = nums + padding + [rhs]
+            row = nums + padding + rhs
             if rel == GEQ:
                 row[col] = -den
                 col += 1
@@ -267,7 +294,7 @@ class _Tableau:
         """Set the reduced-cost row z_j - c_j of ``cost`` under the current basis."""
         self.cost = cost
         den = math.lcm(*(c.denominator for c in cost))
-        obj = [-c.numerator * (den // c.denominator) for c in cost] + [0]
+        obj = [-c.numerator * (den // c.denominator) for c in cost] + [0, 0]
         for row, d, col in zip(self.rows, self.den, self.basis):
             cb = cost[col]
             if cb:
@@ -278,8 +305,10 @@ class _Tableau:
                                          total)
         self.obj, self.obj_den = obj, den
 
-    def objective_value(self) -> Fraction:
-        return Fraction(self.obj[-1], self.obj_den)
+    def objective_value(self) -> Tuple[Fraction, Fraction]:
+        """The running phase's objective value: standard part, eta coefficient."""
+        return (Fraction(self.obj[_RHS], self.obj_den),
+                Fraction(self.obj[_RHS_ETA], self.obj_den))
 
     def pivot(self, row: int, col: int):
         p = self.rows[row]
@@ -311,15 +340,20 @@ class _Tableau:
                             None)
             if entering is None:
                 return None
-            # minimum ratio b_i / a_ie over a_ie > 0; the row denominator cancels
+            # minimum ratio (b_i + eta b_eta_i) / a_ie over a_ie > 0, compared
+            # lexicographically; the row denominator cancels
             leaving = None
             for i, r in enumerate(self.rows):
                 a = r[entering]
                 if a > 0:
-                    b = r[-1]
-                    if leaving is None or b * best_a < best_b * a or (
-                            b * best_a == best_b * a and self.basis[i] < self.basis[leaving]):
-                        leaving, best_b, best_a = i, b, a
+                    if leaving is None:
+                        leaving, best, best_a = i, r, a
+                        continue
+                    d = r[_RHS] * best_a - best[_RHS] * a
+                    if d == 0:
+                        d = r[_RHS_ETA] * best_a - best[_RHS_ETA] * a
+                    if d < 0 or (d == 0 and self.basis[i] < self.basis[leaving]):
+                        leaving, best, best_a = i, r, a
             if leaving is None:
                 return entering
             self.pivot(leaving, entering)
@@ -339,16 +373,16 @@ class _Tableau:
 
     # -- reading the certificate off the tableau ---------------------------
 
-    def point(self, entering: Optional[int] = None) -> Tuple[Fraction, ...]:
-        """The basic solution per variable, or the ray along nonbasic column ``entering``.
+    def point(self, column: int) -> Tuple[Fraction, ...]:
+        """Per variable: the basic solution's standard part (``column`` _RHS)
+        or eta coefficient (_RHS_ETA), or the ray along nonbasic ``column``.
 
-        Along the ray x_entering grows by 1 and each basic variable by -a_ie.
+        Along the ray x_column grows by 1 and each basic variable by -a_ic.
         """
         values = [Fraction(0)] * self.n_cols
-        column, sign = -1, 1
-        if entering is not None:
-            values[entering] = Fraction(1)
-            column, sign = entering, -1
+        sign = 1
+        if column >= 0:
+            values[column], sign = Fraction(1), -1
         for row, den, col in zip(self.rows, self.den, self.basis):
             values[col] = Fraction(sign * row[column], den)
         return self._collapse(values)
@@ -384,7 +418,7 @@ def solve_lp(problem: LPProblem) -> LPSolution:
     if unbounded is not None:  # pragma: no cover - phase 1 is always bounded
         raise CertificateError("phase 1 reported unbounded")
 
-    if tab.objective_value() != 0:
+    if tab.objective_value() != (0, 0):
         farkas_rows, farkas_bounds = tab.multipliers()
         solution = LPSolution(LPStatus.INFEASIBLE, farkas_rows=farkas_rows,
                               farkas_bounds=farkas_bounds)
@@ -394,12 +428,15 @@ def solve_lp(problem: LPProblem) -> LPSolution:
         entering = tab.run(cost2, lambda j: j not in tab.art_cols)
         if entering is None:
             row_duals, bound_duals = tab.multipliers()
-            solution = LPSolution(LPStatus.OPTIMAL, x=tab.point(),
-                                  objective_value=tab.objective_value(),
-                                  row_duals=row_duals, bound_duals=bound_duals)
+            value, value_eta = tab.objective_value()
+            solution = LPSolution(LPStatus.OPTIMAL, x=tab.point(_RHS),
+                                  objective_value=value, row_duals=row_duals,
+                                  bound_duals=bound_duals, x_eta=tab.point(_RHS_ETA),
+                                  objective_value_eta=value_eta)
         else:
             solution = LPSolution(LPStatus.UNBOUNDED, ray=tab.point(entering),
-                                  ray_origin=tab.point())
+                                  ray_origin=tab.point(_RHS),
+                                  ray_origin_eta=tab.point(_RHS_ETA))
 
     check_certificate(problem, solution)
     return solution
@@ -408,6 +445,9 @@ def solve_lp(problem: LPProblem) -> LPSolution:
 # ----------------------------------------------------------------------
 # independent certificate checker
 # ----------------------------------------------------------------------
+#
+# A value with an eta part is the pair (standard part, eta coefficient);
+# Python compares tuples lexicographically, which is the order of Q(eta).
 
 
 def _require(condition: bool, message: str):
@@ -415,22 +455,26 @@ def _require(condition: bool, message: str):
         raise CertificateError(message)
 
 
-def _check_primal_feasible(p: LPProblem, x: Sequence[Fraction]):
-    _require(len(x) == p.n_vars(), "primal vector has wrong length")
-    for j in range(p.n_vars()):
+def _dot(coeffs: Sequence[Fraction], values: Sequence[Fraction]) -> Fraction:
+    return sum((a * v for a, v in zip(coeffs, values) if a and v), Fraction(0))
+
+
+def _check_primal_feasible(p: LPProblem, x: Sequence[Fraction], x_eta: Sequence[Fraction]):
+    _require(len(x) == len(x_eta) == p.n_vars(), "primal vector has wrong length")
+    for j, v in enumerate(zip(x, x_eta)):
         if p.lower[j] is not None:
-            _require(x[j] >= p.lower[j], f"variable {j} below lower bound")
+            _require(v >= (0, 0), f"variable {j} below lower bound")
         if p.upper[j] is not None:
-            _require(x[j] <= p.upper[j], f"variable {j} above upper bound")
+            _require(v <= (p.upper[j], 0), f"variable {j} above upper bound")
     for i, row in enumerate(p.rows):
-        lhs = sum((a * v for a, v in zip(row, x)), Fraction(0))
+        lhs, b = (_dot(row, x), _dot(row, x_eta)), (p.rhs[i], p.rhs_eta[i])
         rel = p.relations[i]
         if rel == LEQ:
-            _require(lhs <= p.rhs[i], f"row {i} violated")
+            _require(lhs <= b, f"row {i} violated")
         elif rel == GEQ:
-            _require(lhs >= p.rhs[i], f"row {i} violated")
+            _require(lhs >= b, f"row {i} violated")
         else:
-            _require(lhs == p.rhs[i], f"row {i} violated")
+            _require(lhs == b, f"row {i} violated")
 
 
 def _check_multiplier_signs(p: LPProblem, mults: Sequence[Fraction], label: str):
@@ -441,64 +485,70 @@ def _check_multiplier_signs(p: LPProblem, mults: Sequence[Fraction], label: str)
             _require(mults[i] <= 0, f"{label} sign wrong on >= row {i}")
 
 
+def _aggregate(p: LPProblem, mults: Sequence[Fraction], bound_mults: Sequence[Fraction],
+               label: str):
+    """Combine the rows and upper bounds with multipliers ``mults`` and ``bound_mults``.
+
+    Checks the multiplier signs and returns the combined right-hand side
+    (standard part, eta coefficient) and the combined coefficient of each
+    variable.
+    """
+    _require(len(mults) == len(p.rows) and len(bound_mults) == p.n_vars(),
+             f"{label} multipliers have wrong length")
+    _check_multiplier_signs(p, mults, label)
+    total = _dot(mults, p.rhs)
+    columns = []
+    for j, mu in enumerate(bound_mults):
+        _require(mu >= 0, f"{label} upper-bound multiplier {j} negative")
+        if p.upper[j] is None:
+            _require(mu == 0, f"{label} multiplier on absent upper bound {j}")
+        else:
+            total += mu * p.upper[j]
+        columns.append(_dot([row[j] for row in p.rows], mults) + mu)
+    return (total, _dot(mults, p.rhs_eta)), columns
+
+
 def check_certificate(p: LPProblem, sol: LPSolution):
     """Re-validate a solution from the original data; raises CertificateError."""
     if sol.status is LPStatus.OPTIMAL:
-        _require(sol.x is not None and sol.row_duals is not None
-                 and sol.bound_duals is not None and sol.objective_value is not None,
+        _require(sol.x is not None and sol.x_eta is not None and sol.row_duals is not None
+                 and sol.bound_duals is not None and sol.objective_value is not None
+                 and sol.objective_value_eta is not None,
                  "optimal solution missing fields")
-        _check_primal_feasible(p, sol.x)
-        value = sum((c * v for c, v in zip(p.objective, sol.x)), Fraction(0))
-        _require(value == sol.objective_value, "objective value mismatch")
-        _check_multiplier_signs(p, sol.row_duals, "dual")
-        dual_value = sum((y * b for y, b in zip(sol.row_duals, p.rhs)), Fraction(0))
-        for j in range(p.n_vars()):
-            u = sol.bound_duals[j]
-            _require(u >= 0, f"upper-bound dual {j} negative")
-            if p.upper[j] is None:
-                _require(u == 0, f"dual on absent upper bound {j}")
-            else:
-                dual_value += u * p.upper[j]
-            slack = sum((sol.row_duals[i] * p.rows[i][j] for i in range(len(p.rows))),
-                        Fraction(0)) + u - p.objective[j]
+        _check_primal_feasible(p, sol.x, sol.x_eta)
+        value = (sol.objective_value, sol.objective_value_eta)
+        _require((_dot(p.objective, sol.x), _dot(p.objective, sol.x_eta)) == value,
+                 "objective value mismatch")
+        dual_value, columns = _aggregate(p, sol.row_duals, sol.bound_duals, "dual")
+        for j, (column, c) in enumerate(zip(columns, p.objective)):
             if p.lower[j] is None:
-                _require(slack == 0, f"dual constraint {j} not tight for free variable")
+                _require(column == c, f"dual constraint {j} not tight for free variable")
             else:
-                _require(slack >= 0, f"dual constraint {j} violated")
-        _require(dual_value == sol.objective_value,
-                 "duality gap nonzero")
+                _require(column >= c, f"dual constraint {j} violated")
+        _require(dual_value == value, "duality gap nonzero")
     elif sol.status is LPStatus.INFEASIBLE:
         _require(sol.farkas_rows is not None and sol.farkas_bounds is not None,
                  "infeasibility certificate missing")
-        _check_multiplier_signs(p, sol.farkas_rows, "Farkas")
-        total = sum((lam * b for lam, b in zip(sol.farkas_rows, p.rhs)), Fraction(0))
-        for j in range(p.n_vars()):
-            mu = sol.farkas_bounds[j]
-            _require(mu >= 0, f"Farkas bound multiplier {j} negative")
-            if p.upper[j] is None:
-                _require(mu == 0, f"Farkas multiplier on absent upper bound {j}")
-            else:
-                total += mu * p.upper[j]
-            aggregated = sum((sol.farkas_rows[i] * p.rows[i][j]
-                              for i in range(len(p.rows))), Fraction(0)) + mu
+        total, columns = _aggregate(p, sol.farkas_rows, sol.farkas_bounds, "Farkas")
+        for j, column in enumerate(columns):
             if p.lower[j] is None:
-                _require(aggregated == 0, f"Farkas aggregation nonzero on free variable {j}")
+                _require(column == 0, f"Farkas aggregation nonzero on free variable {j}")
             else:
-                _require(aggregated >= 0, f"Farkas aggregation negative on variable {j}")
-        _require(total < 0, "Farkas certificate does not prove infeasibility")
+                _require(column >= 0, f"Farkas aggregation negative on variable {j}")
+        _require(total < (0, 0), "Farkas certificate does not prove infeasibility")
     elif sol.status is LPStatus.UNBOUNDED:
-        _require(sol.ray is not None and sol.ray_origin is not None,
+        _require(sol.ray is not None and sol.ray_origin is not None
+                 and sol.ray_origin_eta is not None,
                  "unboundedness certificate missing")
-        _check_primal_feasible(p, sol.ray_origin)
-        gain = Fraction(0)
+        _check_primal_feasible(p, sol.ray_origin, sol.ray_origin_eta)
+        _require(len(sol.ray) == p.n_vars(), "ray has wrong length")
         for j in range(p.n_vars()):
-            gain += p.objective[j] * sol.ray[j]
             if p.lower[j] is not None:
                 _require(sol.ray[j] >= 0, f"ray leaves lower bound of variable {j}")
             if p.upper[j] is not None:
                 _require(sol.ray[j] <= 0, f"ray leaves upper bound of variable {j}")
         for i, row in enumerate(p.rows):
-            move = sum((a * r for a, r in zip(row, sol.ray)), Fraction(0))
+            move = _dot(row, sol.ray)
             rel = p.relations[i]
             if rel == LEQ:
                 _require(move <= 0, f"ray violates <= row {i}")
@@ -506,6 +556,6 @@ def check_certificate(p: LPProblem, sol: LPSolution):
                 _require(move >= 0, f"ray violates >= row {i}")
             else:
                 _require(move == 0, f"ray violates = row {i}")
-        _require(gain > 0, "ray does not improve the objective")
+        _require(_dot(p.objective, sol.ray) > 0, "ray does not improve the objective")
     else:  # pragma: no cover
         raise CertificateError(f"unknown status {sol.status!r}")

@@ -4,7 +4,6 @@ from fractions import Fraction as F
 
 import pytest
 
-import lcbayes.admissibility
 import lcbayes.priors
 from lcbayes.admissibility import (DominationQuery, check_admissible,
                                    check_domination, check_lc_domination,
@@ -184,9 +183,8 @@ def test_domination_within_full_randomized_class():
 
 
 def test_domination_query_solves_each_lp_once(monkeypatch):
-    # the prior-game LP gives epsilon*; only at epsilon* = 0 does epsilon = 0
-    # also need the strict-admissibility LP.  The answers are those of the
-    # LPs solved directly.
+    # the floored prior-game LP gives epsilon* and S*, so every query solves
+    # it once.  The answers are those of the LP solved directly.
     inadmissible_witness = check_admissible(fp2(), ALWAYS_A2).witness
     uniform_witness = max_uniform_improvement(fp2(), ALWAYS_A2)[1]
     flat = FiniteProblem.build(["t1", "t2"], ["x1"], ["a1", "a2"],
@@ -198,7 +196,6 @@ def test_domination_query_solves_each_lp_once(monkeypatch):
         calls.append(lp)
         return solve_lp(lp)
 
-    monkeypatch.setattr(lcbayes.admissibility, "solve_lp", counting_solve)
     monkeypatch.setattr(lcbayes.priors, "solve_lp", counting_solve)
     # epsilon* = 1: the game LP alone, at epsilon = 0 and at epsilon > 0
     assert is_epsilon_dominated(DominationQuery(fp2(), ALWAYS_A2)) == (
@@ -209,9 +206,9 @@ def test_domination_query_solves_each_lp_once(monkeypatch):
         True, uniform_witness)
     assert len(calls) == 1
     calls.clear()
-    # inadmissible at epsilon* = 0: the game LP, then the strict LP
+    # inadmissible at epsilon* = 0: the game LP alone as well
     assert is_epsilon_dominated(DominationQuery(flat, ALWAYS_A2)) == (True, flat_witness)
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,15 @@
 """Prior synthesis, epsilon-Bayes verification, and pushdown tests."""
 
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
 
+import lcbayes.admissibility
+
 from lcbayes.decision import FiniteProblem, Prior, Procedure, bayes_risk, risk_vector
 from lcbayes.lcnum import LCNumber, NotNearStandard, eps, st
+from lcbayes.ratlp import CertificateError
 from lcbayes.priors import (LCPrior, classify, minimal_bayes_risk, pushdown,
                             pushdown_risk_consistency, synthesize_prior,
                             verify_epsilon_bayes)
@@ -151,6 +155,66 @@ def test_classify_single_action():
     report = classify(problem, Procedure.nonrandomized([0]))
     assert report.admissible and report.extended_admissible
     assert report.epsilon_star == 0
+
+
+def flat():
+    # always-a2 has risks (0, 1) and always-a1 (0, 0): epsilon* = 0, S* = 1
+    return FiniteProblem.build(["t1", "t2"], ["x1"], ["a1", "a2"],
+                               model=[[1], [1]], loss=[[0, 0], [0, 1]])
+
+
+def test_game_reports_total_slack():
+    game = synthesize_prior(flat(), Procedure.nonrandomized([1]))
+    assert (game.value, game.total_slack) == (0, 1)
+    # the improver is always-a1, the prior st(pi) puts all mass on t1
+    assert game.improver.matrix(2) == ((1, 0),)
+    assert game.witness_prior.weights == (1, 0)
+    assert synthesize_prior(fp2(), Procedure.nonrandomized([1])).total_slack == 0
+    assert synthesize_prior(fp1(), rule(F(1, 2))).total_slack == 0
+
+
+def corrupting(monkeypatch, corrupt):
+    """Make classify read a verdict that ``corrupt`` has altered."""
+    original = lcbayes.admissibility.check_admissible
+    monkeypatch.setattr(lcbayes.admissibility, "check_admissible",
+                        lambda problem, procedure: corrupt(original(problem, procedure)))
+
+
+@pytest.mark.parametrize("problem, candidate, corrupt, message", [
+    # epsilon* = 1 read as 0: the improver's slacks sum to 2, not S* = 0
+    (fp2, Procedure.nonrandomized([1]),
+     lambda v: dataclasses.replace(v, epsilon_star=F(0)), "total slack 2 is not S"),
+    # epsilon* = 1 read as 2: no state improves by 2
+    (fp2, Procedure.nonrandomized([1]),
+     lambda v: dataclasses.replace(v, epsilon_star=F(2)), "does not improve uniformly"),
+    # S* = 1 read as 2, and as 0
+    (flat, Procedure.nonrandomized([1]),
+     lambda v: dataclasses.replace(v, game=dataclasses.replace(v.game, total_slack=F(2))),
+     "total slack 1 is not S"),
+    (flat, Procedure.nonrandomized([1]),
+     lambda v: dataclasses.replace(v, game=dataclasses.replace(v.game, total_slack=F(0))),
+     "total slack 1 is not S"),
+    # the witness's one entry set to the candidate's action: no state is better
+    (flat, Procedure.nonrandomized([1]),
+     lambda v: dataclasses.replace(v, witness=Procedure.randomized([[0, 1]])),
+     "witness does not dominate"),
+    # the admissible flag flipped, both ways
+    (flat, Procedure.nonrandomized([1]),
+     lambda v: dataclasses.replace(v, admissible=True, witness=None), "verdict contradicts"),
+    (fp1, rule(F(1, 2)),
+     lambda v: dataclasses.replace(v, admissible=False, witness=v.game.improver),
+     "verdict contradicts"),
+    # the extended-admissible flag flipped
+    (fp2, Procedure.nonrandomized([1]),
+     lambda v: dataclasses.replace(v, extended_admissible=True), "verdict contradicts"),
+], ids=["eps-low", "eps-high", "slack-high", "slack-zero", "witness-entry",
+        "admissible-true", "admissible-false", "extended-true"])
+def test_classify_rejects_corrupted_verdict(monkeypatch, problem, candidate, corrupt,
+                                            message):
+    classify(problem(), candidate)  # the uncorrupted verdict passes
+    corrupting(monkeypatch, corrupt)
+    with pytest.raises(CertificateError, match=message):
+        classify(problem(), candidate)
 
 
 def test_domination_inherits_bayes():

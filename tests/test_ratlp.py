@@ -1,12 +1,13 @@
 """Exact LP solver and certificate checker tests."""
 
+import dataclasses
 import random
 from fractions import Fraction as F
 
 import pytest
 
 import lcbayes.ratlp
-from lcbayes.ratlp import (CertificateError, LPProblem, LPSolution, LPStatus,
+from lcbayes.ratlp import (CertificateError, LPProblem, LPStatus,
                            MalformedProblem, check_certificate, solve_lp)
 
 
@@ -111,13 +112,11 @@ def test_dimension_mismatch():
 def test_checker_rejects_tampered_solution():
     p = LPProblem.build([1], [[1]], ["<="], [3])
     good = solve_lp(p)
-    bad = LPSolution(LPStatus.OPTIMAL, x=(F(4),), objective_value=F(4),
-                     row_duals=good.row_duals, bound_duals=good.bound_duals)
-    with pytest.raises(CertificateError):
+    bad = dataclasses.replace(good, x=(F(4),), objective_value=F(4))
+    with pytest.raises(CertificateError, match="row 0 violated"):
         check_certificate(p, bad)
-    bad_gap = LPSolution(LPStatus.OPTIMAL, x=good.x, objective_value=good.objective_value,
-                         row_duals=(F(2),), bound_duals=good.bound_duals)
-    with pytest.raises(CertificateError):
+    bad_gap = dataclasses.replace(good, row_duals=(F(2),))
+    with pytest.raises(CertificateError, match="duality gap nonzero"):
         check_certificate(p, bad_gap)
 
 
@@ -125,6 +124,79 @@ def test_json_roundtrip():
     p = LPProblem.build([1, -2], [[1, 1]], ["<="], [F(7, 3)],
                         lower=[0, None], upper=[F(5, 2), None])
     assert LPProblem.from_json(p.to_json()) == p
+    # no eta part: the text is the one written before eta parts existed
+    assert p.to_json() == (
+        '{"lower": ["0", "-inf"], "objective": ["1", "-2"], "relations": ["<="], '
+        '"rhs": ["7/3"], "rows": [["1", "1"]], "upper": ["5/2", "inf"]}')
+
+
+def test_json_roundtrip_with_eta_part():
+    p = LPProblem.build([1, -2], [[1, 1], [1, 0]], ["<=", ">="], [F(7, 3), 0],
+                        lower=[0, None], rhs_eta=[0, F(-1, 2)])
+    text = p.to_json()
+    assert '"rhs_eta": ["0", "-1/2"]' in text
+    assert LPProblem.from_json(text) == p
+
+
+# ----------------------------------------------------------------------
+# right-hand sides with an eta part: b + eta * b_eta, eta > 0 infinitesimal
+# ----------------------------------------------------------------------
+
+
+def test_eta_part_solved_lexicographically():
+    # maximize x + y subject to x <= 1 + 2 eta, y <= -eta + 3, x + y <= 4 - eta
+    p = LPProblem.build([1, 1], [[1, 0], [0, 1], [1, 1]], ["<=", "<=", "<="], [1, 3, 4],
+                        rhs_eta=[2, -1, -1])
+    sol = solve_lp(p)
+    assert sol.status is LPStatus.OPTIMAL
+    assert (sol.objective_value, sol.objective_value_eta) == (4, -1)
+    assert sol.x == (F(1), F(3)) and sol.x_eta == (F(2), F(-3))
+    # at eta = 0 the duals (1, 1, 0) would be optimal too; the eta part
+    # leaves only the third row's, whose dual value is 4 - eta, not 4 + eta
+    assert sol.row_duals == (F(0), F(0), F(1))
+
+
+def test_infeasible_only_in_the_eta_part():
+    # x >= 0 and x <= -eta: feasible at eta = 0, infeasible for every eta > 0
+    p = LPProblem.build([1], [[1]], ["<="], [0], rhs_eta=[-1])
+    sol = solve_lp(p)
+    assert sol.status is LPStatus.INFEASIBLE
+    assert sol.farkas_rows == (F(1),)
+    # the same multipliers say nothing when b_eta is 0 or positive
+    for b_eta in (0, 1):
+        with pytest.raises(CertificateError, match="does not prove infeasibility"):
+            check_certificate(LPProblem.build([1], [[1]], ["<="], [0], rhs_eta=[b_eta]), sol)
+
+
+def test_checker_rejects_wrong_eta_parts():
+    p = LPProblem.build([1], [[1]], ["<="], [1], rhs_eta=[2])
+    good = solve_lp(p)
+    assert (good.x_eta, good.objective_value_eta) == ((F(2),), F(2))
+    cases = {
+        # x = 1 + 3 eta breaks the row
+        "row 0 violated": {"x_eta": (F(3),)},
+        # the value's eta coefficient disagrees with c . x_eta
+        "objective value mismatch": {"objective_value_eta": F(3)},
+        # x = 1 + eta is feasible and matches its value, but is not optimal:
+        # the dual value's eta coefficient is y . b_eta = 2
+        "duality gap nonzero": {"x_eta": (F(1),), "objective_value_eta": F(1)},
+        "optimal solution missing fields": {"x_eta": None},
+    }
+    for message, fields in cases.items():
+        with pytest.raises(CertificateError, match=message):
+            check_certificate(p, dataclasses.replace(good, **fields))
+
+
+def test_checker_rejects_wrong_eta_part_of_ray_origin():
+    # maximize x subject to x >= eta: unbounded from the origin x = eta
+    p = LPProblem.build([1], [[1]], [">="], [0], rhs_eta=[1])
+    good = solve_lp(p)
+    assert good.status is LPStatus.UNBOUNDED
+    assert (good.ray_origin, good.ray_origin_eta) == ((F(0),), (F(1),))
+    with pytest.raises(CertificateError, match="row 0 violated"):
+        check_certificate(p, dataclasses.replace(good, ray_origin_eta=(F(0),)))
+    with pytest.raises(CertificateError, match="below lower bound"):
+        check_certificate(p, dataclasses.replace(good, ray_origin_eta=(F(-1),)))
 
 
 def test_randomized_instances_all_certified():

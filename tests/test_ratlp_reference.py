@@ -8,6 +8,14 @@ fraction-free.  It shares no code with the solver under test: besides
 Bland's entering rule and the same leaving tie-break on exact values, so
 they visit the same bases and every field of the solution must agree
 exactly, not just the optimal value.
+
+A right-hand side with an eta part, b + eta * b_eta for a positive
+infinitesimal eta, is checked against the reference solving the same LP
+with a tiny rational eta in its place.  Below a threshold that depends
+on the data, every ratio comparison of the reference then goes the way
+the lexicographic one does, so it takes the same pivots and its primal
+point is exactly x + eta * x_eta.  The rational eta lives in this test
+only: in the solver it would be wrong above that threshold.
 """
 
 import dataclasses
@@ -16,7 +24,6 @@ from fractions import Fraction
 from fractions import Fraction as F
 from typing import Optional, Sequence, Tuple
 
-import lcbayes.admissibility
 import lcbayes.priors
 from lcbayes.decision import FiniteProblem, Procedure
 from lcbayes.priors import classify
@@ -307,19 +314,68 @@ def _multipliers(norm: _Normalized, y) -> Tuple[tuple, tuple]:
 # ----------------------------------------------------------------------
 
 
+_ETA_FIELDS = {"x_eta": "x", "objective_value_eta": "objective_value",
+               "ray_origin_eta": "ray_origin"}
+
+
+def _zero_like(value):
+    if value is None:
+        return None
+    if isinstance(value, tuple):
+        return tuple(F(0) for _ in value)
+    return F(0)
+
+
 def assert_same_solution(problem: LPProblem, events: Optional[set] = None):
-    """Solve with both simplexes; every field must be exactly equal."""
+    """Solve an eta-free LP with both simplexes; every field must be exactly
+    equal, and every eta part of the solution 0."""
+    assert not any(problem.rhs_eta)
     got = solve_lp(problem)
-    fields = {f.name: getattr(got, f.name) for f in dataclasses.fields(got)}
     want = reference_solve(problem, events)
+    for name, base in _ETA_FIELDS.items():
+        want[name] = _zero_like(want[base])
+    fields = {f.name: getattr(got, f.name) for f in dataclasses.fields(got)}
     assert fields == want
     assert repr(fields) == repr(want)  # same types too, not just equal values
     return got
 
 
-def random_lp(rng: random.Random) -> LPProblem:
+REFERENCE_ETA = F(1, 10 ** 40)
+
+
+def assert_eta_solution_matches(problem: LPProblem, events: Optional[set] = None):
+    """Solve an LP with an eta part; the reference solves it at eta = REFERENCE_ETA.
+
+    Duals, multipliers and rays are rational and must be equal; the
+    reference's point and value must equal standard part + eta * eta part.
+    """
+    got = solve_lp(problem)
+    rhs = [b + REFERENCE_ETA * e for b, e in zip(problem.rhs, problem.rhs_eta)]
+    want = reference_solve(dataclasses.replace(problem, rhs=tuple(rhs),
+                                               rhs_eta=(F(0),) * len(rhs)), events)
+    for name in ("status", "row_duals", "bound_duals", "farkas_rows", "farkas_bounds",
+                 "ray"):
+        assert getattr(got, name) == want[name], name
+    for name, base in _ETA_FIELDS.items():
+        value, value_eta = getattr(got, base), getattr(got, name)
+        if want[base] is None:
+            assert value is None and value_eta is None, name
+        elif isinstance(value, tuple):
+            assert want[base] == tuple(v + REFERENCE_ETA * e
+                                       for v, e in zip(value, value_eta)), name
+        else:
+            assert want[base] == value + REFERENCE_ETA * value_eta, name
+    return got
+
+
+def random_lp(rng: random.Random, eta: bool = False) -> LPProblem:
     """A small LP mixing every relation, free and bounded variables,
-    negative right-hand sides and, sometimes, a redundant equality row."""
+    negative right-hand sides and, sometimes, a redundant equality row.
+
+    With ``eta`` the right-hand side gets an eta part.  Some rows get
+    b = 0, so that the sign of b_eta alone decides whether the row is
+    negated; others get b and b_eta of opposite signs.
+    """
     n = rng.randint(1, 5)
     m = rng.randint(1, 5)
 
@@ -331,6 +387,11 @@ def random_lp(rng: random.Random) -> LPProblem:
     relations = [rng.choice([LEQ, EQ, GEQ]) for _ in range(m)]
     rhs = [F(rng.randint(-5, 6), rng.randint(1, 2)) if rng.random() < 0.8 else F(0)
            for _ in range(m)]
+    rhs_eta = [F(0)] * m
+    if eta:
+        rhs = [F(0) if rng.random() < 0.3 else b for b in rhs]
+        rhs_eta = [F(rng.randint(-3, 3), rng.randint(1, 2)) if rng.random() < 0.7 else F(0)
+                   for _ in range(m)]
     if rng.random() < 0.3:
         i = rng.randrange(m)
         k = F(rng.choice([-3, -2, -1, 2]), rng.randint(1, 2))
@@ -338,10 +399,12 @@ def random_lp(rng: random.Random) -> LPProblem:
         rows.append([k * a for a in rows[i]])
         relations.append(EQ)
         rhs.append(k * rhs[i])
+        rhs_eta.append(k * rhs_eta[i])
     lower = [None if rng.random() < 0.25 else 0 for _ in range(n)]
     upper = [F(rng.randint(0, 6), rng.randint(1, 2)) if rng.random() < 0.3 else None
              for _ in range(n)]
-    return LPProblem.build(objective, rows, relations, rhs, lower=lower, upper=upper)
+    return LPProblem.build(objective, rows, relations, rhs, lower=lower, upper=upper,
+                           rhs_eta=rhs_eta)
 
 
 def test_random_lps_match_reference():
@@ -358,6 +421,26 @@ def test_random_lps_match_reference():
         features["negative rhs"] += any(b < 0 for b in problem.rhs)
     assert all(count > 0 for count in statuses.values()), statuses
     assert all(count > 0 for count in features.values()), features
+    assert events == {"negative purge pivot", "dropped row"}
+
+
+def test_random_eta_lps_match_reference():
+    rng = random.Random(161230)
+    statuses = {status: 0 for status in LPStatus}
+    signs = {"b = 0 < b_eta": 0, "b = 0 > b_eta": 0, "b > 0 > b_eta": 0,
+             "b < 0 < b_eta": 0}
+    events: set = set()
+    for _ in range(500):
+        problem = random_lp(rng, eta=True)
+        sol = assert_eta_solution_matches(problem, events)
+        statuses[sol.status] += 1
+        for b, e in zip(problem.rhs, problem.rhs_eta):
+            signs["b = 0 < b_eta"] += b == 0 < e
+            signs["b = 0 > b_eta"] += b == 0 > e
+            signs["b > 0 > b_eta"] += b > 0 > e
+            signs["b < 0 < b_eta"] += b < 0 < e
+    assert all(count > 0 for count in statuses.values()), statuses
+    assert all(count > 0 for count in signs.values()), signs
     assert events == {"negative purge pivot", "dropped row"}
 
 
@@ -387,8 +470,7 @@ def random_problem(rng: random.Random, n_states: int, n_obs: int,
 def classify_lps(monkeypatch, problem: FiniteProblem, procedures) -> tuple:
     """The LPs that classify solves, and its reports.
 
-    Each verdict solves the prior-game LP, and the strict-admissibility
-    LP only when epsilon* = 0.
+    Each verdict solves one LP: the prior game with floored weights.
     """
     seen = []
 
@@ -396,7 +478,6 @@ def classify_lps(monkeypatch, problem: FiniteProblem, procedures) -> tuple:
         seen.append(lp)
         return solve_lp(lp)
 
-    monkeypatch.setattr(lcbayes.admissibility, "solve_lp", recording_solve)
     monkeypatch.setattr(lcbayes.priors, "solve_lp", recording_solve)
     reports = [classify(problem, procedure) for procedure in procedures]
     monkeypatch.undo()
@@ -413,6 +494,7 @@ def test_classify_lps_match_reference(monkeypatch):
     small_lps, small_reports = classify_lps(monkeypatch, small, small_rules)
     large_lps, large_reports = classify_lps(monkeypatch, large, large_rules)
     lps = small_lps + large_lps
-    assert len(lps) == sum(1 + (r.epsilon_star == 0) for r in small_reports + large_reports)
+    assert len(lps) == len(small_reports + large_reports)
     for lp in lps:
-        assert_same_solution(lp)
+        assert any(lp.rhs_eta)
+        assert_eta_solution_matches(lp)
