@@ -13,8 +13,9 @@ Global flags: ``--format json|text`` and ``--order N`` (default 8).
 Machine output is exact: rationals as "p/q" strings and Levi-Civita
 values in the canonical series syntax; decimal approximations appear
 only in text format.  Identical inputs and flags produce byte-identical
-JSON.  Exit codes: 0 success, 2 malformed input or unknown example,
-3 internal certificate failure, 4 division by zero in ``lc eval``.
+JSON.  Exit codes: 0 success, 2 malformed input, unknown example or a
+Levi-Civita result past the term cap, 3 internal certificate failure,
+4 division by zero in ``lc eval``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .decision import (IndexOutOfRange, SchemaError, ShapeMismatch, check_proced
                        problem_from_json, procedure_to_json_dict, procedures_from_json)
 from .families import (BernoulliBoundaryReport, NormalLocationReport,
                        bernoulli_boundary_report, normal_location_report)
-from .lcnum import LCNumber, LCParseError, NotNearStandard, evaluate
+from .lcnum import LCNumber, LCParseError, NotNearStandard, TooManyTerms, evaluate
 from .priors import ClassificationReport, GameAnalysis, classify, synthesize_prior
 from .ratlp import CertificateError
 
@@ -174,7 +175,7 @@ def _render_text(payload, indent: int = 0) -> list[str]:
 def _decimal(value: str) -> str:
     try:
         return f"{float(Fraction(value)):.6g}"
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError, OverflowError):
         return ""
 
 
@@ -249,14 +250,20 @@ def _cmd_example(args, fmt: str, order: int) -> int:
 def _cmd_lc_eval(args, fmt: str, order: int) -> int:
     try:
         value = evaluate(args.expr, order=order)
+        payload = {"value": str(value), "order": order}
+        payload.update(_st_fields(value))
     except LCParseError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except RecursionError:
+        print("error: expression nested too deeply", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except ValueError as exc:  # an int/str conversion past Python's digit limit
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except ZeroDivisionError:
         print("error: division by zero", file=sys.stderr)
         return EXIT_DIV_ZERO
-    payload = {"value": str(value), "order": order}
-    payload.update(_st_fields(value))
     _print_payload(payload, fmt)
     return EXIT_OK
 
@@ -303,9 +310,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse printed its usage and one error line
+        return exc.code
     fmt = getattr(args, "sub_format", None) or args.format
-    order = getattr(args, "sub_order", None) or args.order
+    order = getattr(args, "sub_order", None)
+    order = args.order if order is None else order
     if order < 1:
         print("error: --order must be >= 1", file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -319,6 +330,9 @@ def main(argv=None) -> int:
     except CertificateError as exc:
         print(f"internal certificate failure: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATE
+    except TooManyTerms as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     except NotNearStandard as exc:  # pragma: no cover - reports catch this
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -12,14 +12,29 @@ All coefficients and exponents are :class:`fractions.Fraction`; there is
 no floating point anywhere in this module.  Verdicts that depend on exact
 zero tests of leading terms (ordering, infinitesimal checks, standard
 parts) are therefore exact.
+
+Each kernel does only the work its result needs.  A product stops each
+row of term products at the truncation window.  The inverse is long
+division (Berz; Shamseddine & Berz): every retained coefficient costs
+one multiply-add per term of the operand, so an inverse costs at most
+``MAX_TERMS`` times the operand's length.  A comparison reads the first
+place where two term lists differ.  No result keeps more than
+:data:`MAX_TERMS` terms; past the cap an operation raises
+:class:`TooManyTerms` instead of running on.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Optional, Tuple, Union
 
 DEFAULT_ORDER = 8
+# The most terms a result may keep: twice the 257 of the widest window
+# that the example reports and the benchmark quotients fill (order 16 at
+# exponent step 1/16).  A product of two operands this long takes under
+# a second.
+MAX_TERMS = 2 * 257
 
 Rational = Union[int, Fraction]
 Term = Tuple[Fraction, Fraction]  # (exponent, coefficient)
@@ -27,6 +42,13 @@ Term = Tuple[Fraction, Fraction]  # (exponent, coefficient)
 
 class NotNearStandard(ArithmeticError):
     """Standard part requested for an element with an infinite part."""
+
+
+class TooManyTerms(ArithmeticError):
+    """A result would keep more than :data:`MAX_TERMS` terms."""
+
+    def __init__(self):
+        super().__init__(f"result would keep more than {MAX_TERMS} terms")
 
 
 class LCParseError(ValueError):
@@ -43,6 +65,14 @@ def _as_fraction(value: Rational) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def _int_exponents(*term_lists):
+    """One denominator for every exponent in ``term_lists``, and each list
+    with its exponents as ints over it."""
+    den = math.lcm(*(e.denominator for terms in term_lists for e, _ in terms))
+    return den, [[(e.numerator * (den // e.denominator), c) for e, c in terms]
+                 for terms in term_lists]
 
 
 class LCNumber:
@@ -96,6 +126,8 @@ class LCNumber:
         if nonzero:
             cutoff = nonzero[0][0] + order
             nonzero = [(e, c) for e, c in nonzero if e <= cutoff]
+            if len(nonzero) > MAX_TERMS:
+                raise TooManyTerms()
         num = LCNumber.__new__(LCNumber)
         object.__setattr__(num, "_terms", tuple(nonzero))
         object.__setattr__(num, "_order", int(order))
@@ -207,44 +239,54 @@ class LCNumber:
         order = min(self._order, rhs._order)
         if not self._terms or not rhs._terms:
             return LCNumber(0, order)
-        cutoff = self._terms[0][0] + rhs._terms[0][0] + order
-        acc: dict[Fraction, Fraction] = {}
-        for e1, c1 in self._terms:
-            for e2, c2 in rhs._terms:
+        den, (mine, theirs) = _int_exponents(self._terms, rhs._terms)
+        cutoff = mine[0][0] + theirs[0][0] + order * den
+        acc: dict[int, Fraction] = {}
+        for e1, c1 in mine:
+            for e2, c2 in theirs:
                 e = e1 + e2
                 if e > cutoff:
-                    continue
-                acc[e] = acc.get(e, Fraction(0)) + c1 * c2
-        return LCNumber._make(acc, order)
+                    break
+                acc[e] = acc.get(e, 0) + c1 * c2
+        return LCNumber._make({Fraction(e, den): c for e, c in acc.items()}, order)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "LCNumber":
-        """Multiplicative inverse up to truncation.
+        """Multiplicative inverse up to truncation, by long division.
 
-        Writing ``a = c * eps^v * (1 + u)`` with ``u`` infinitesimal, the
-        inverse is ``c^-1 * eps^-v * sum_k (-u)^k``, summed until the
-        powers fall past the truncation window.  ``a * a.inverse()``
-        equals 1 exactly on all retained terms.
+        Write ``a = c * eps^v * (1 + w)`` with ``w = sum_j w_j eps^(d_j)``
+        and every ``d_j > 0``.  Then ``s = 1/(1 + w)`` has ``s_0 = 1`` and
+        ``s_g = -sum_j w_j * s_(g - d_j)``, and ``a^-1 = c^-1 eps^-v s``.
+        The exponents g are the sums of the d_j, taken in increasing
+        order up to ``order``; over one common denominator they are
+        ints.  Each retained term costs one multiply-add per term of
+        ``w``.  The division stops with :class:`TooManyTerms` once more
+        than :data:`MAX_TERMS` exponents fall inside the window, counting
+        any whose coefficient cancels to 0.  ``a * a.inverse()`` equals 1
+        exactly on all retained terms.
         """
         if not self._terms:
             raise ZeroDivisionError("inverse of zero")
         order = self._order
-        lead_expo, lead_coeff = self._terms[0]
-        u_acc = {e - lead_expo: c / lead_coeff for e, c in self._terms[1:]}
-        u = LCNumber._make(u_acc, order)
-        series = LCNumber(1, order)
-        if not u.is_zero():
-            step = u.valuation()
-            power = LCNumber(1, order)
-            neg_u = -u
-            k = Fraction(0)
-            while k + step <= order:
-                power = power * neg_u
-                series = series + power
-                k += step
-        inv_acc = {e - lead_expo: c / lead_coeff for e, c in series._terms}
-        return LCNumber._make(inv_acc, order)
+        den, (scaled,) = _int_exponents(self._terms)
+        (v, lead), top = scaled[0], order * den
+        w = [(e - v, c / lead) for e, c in scaled[1:] if e - v <= top]
+        # the sums of the d_j in increasing order, as in Dijkstra's merge of
+        # the Hamming numbers: after[j] indexes the least exponent so far
+        # whose sum with d_j has not been reached yet
+        s, exps, after = {0: Fraction(1)}, [0], [0] * len(w)
+        while True:
+            reach = [exps[i] + d for i, (d, _) in zip(after, w)]
+            g = min(reach, default=top + 1)
+            if g > top:
+                break
+            if len(s) == MAX_TERMS:
+                raise TooManyTerms()
+            after = [i + (r == g) for i, r in zip(after, reach)]
+            s[g] = -sum(c * s[g - d] for d, c in w if g - d in s)
+            exps.append(g)
+        return LCNumber._make({Fraction(g - v, den): c / lead for g, c in s.items()}, order)
 
     def __truediv__(self, other):
         rhs = self._coerce(other)
@@ -287,11 +329,27 @@ class LCNumber:
         return 1 if lead > 0 else -1
 
     def compare(self, other) -> int:
-        """Total field order: the sign of the leading term of self - other."""
+        """Total field order: the sign of the leading term of self - other.
+
+        That term sits at the first place where the two term lists
+        differ, so no difference is built.
+        """
         rhs = self._coerce(other)
         if rhs is None:
             raise TypeError(f"cannot compare LCNumber with {type(other).__name__}")
-        return (self - rhs)._sign()
+        mine, theirs = self._terms, rhs._terms
+        for (e1, c1), (e2, c2) in zip(mine, theirs):
+            if e1 < e2:
+                return 1 if c1 > 0 else -1
+            if e2 < e1:
+                return 1 if c2 < 0 else -1
+            if c1 != c2:
+                return 1 if c1 > c2 else -1
+        if len(mine) > len(theirs):
+            return 1 if mine[len(theirs)][1] > 0 else -1
+        if len(theirs) > len(mine):
+            return 1 if theirs[len(mine)][1] < 0 else -1
+        return 0
 
     def __eq__(self, other):
         rhs = self._coerce(other)
@@ -420,6 +478,11 @@ def refute_much_greater(x: LCNumber, y: LCNumber) -> Fraction:
 # ----------------------------------------------------------------------
 
 
+def _is_digit(ch: str) -> bool:
+    # ASCII only: str.isdigit also accepts characters like '²' that int() rejects
+    return len(ch) == 1 and "0" <= ch <= "9"
+
+
 class _Scanner:
     """Character scanner for LC expressions.
 
@@ -463,7 +526,7 @@ class _Scanner:
 
     def read_digits(self) -> int:
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and _is_digit(self.text[self.pos]):
             self.pos += 1
         if self.pos == start:
             self.error("expected digits")
@@ -484,7 +547,7 @@ class _Scanner:
         # a '/' immediately followed by digits continues the exponent
         if (self.pos < len(self.text) and self.text[self.pos] == "/"
                 and self.pos + 1 < len(self.text)
-                and self.text[self.pos + 1].isdigit()):
+                and _is_digit(self.text[self.pos + 1])):
             self.pos += 1
             den = self.read_digits()
             if den == 0:
@@ -553,7 +616,7 @@ def _parse_primary(sc: _Scanner, order: int) -> LCNumber:
         value = _parse_expr(sc, order)
         if not sc.take(")"):
             sc.error("expected ')'")
-    elif ch.isdigit():
+    elif _is_digit(ch):
         value = LCNumber(sc.read_digits(), order)
     elif sc.text.startswith("eps", sc.pos):
         sc.pos += 3

@@ -1,6 +1,7 @@
 """Command-line behavior: output schemas, determinism, exit codes."""
 
 import json
+import time
 from importlib import resources
 
 import jsonschema
@@ -8,6 +9,7 @@ import pytest
 
 from lcbayes.cli import main
 from lcbayes.decision import FiniteProblem, problem_to_json
+from lcbayes.lcnum import MAX_TERMS, evaluate
 
 
 @pytest.fixture()
@@ -343,3 +345,54 @@ def test_text_format(capsys):
     assert code == 0
     assert "gap_closed_form" in out
     assert "{" not in out.split("\n")[0]
+
+
+def test_lc_eval_past_the_term_cap_exits_2_quickly(capsys):
+    # 800,001 exponents k/100000 fill the order-8 window; the division stops at the cap
+    start = time.perf_counter()
+    assert main(["lc", "eval", "1/(1+eps^(1/100000))", "--order", "8"]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: result would keep more than {MAX_TERMS} terms\n"
+
+
+def test_lc_eval_fine_reciprocal_is_correct_or_rejected(capsys):
+    code = main(["lc", "eval", "1/(1+eps^1/1000)", "--order", "8"])
+    captured = capsys.readouterr()
+    if code == 0:
+        value = evaluate(json.loads(captured.out)["value"], order=8)
+        assert value * evaluate("1+eps^1/1000", order=8) == 1
+    else:
+        assert code == 2
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("expr", ["(" * 400 + "1" + ")" * 400, "0" + "-" * 3000 + "1",
+                                  "9" * 5000, "2^20000"])
+def test_lc_eval_outsized_input_exits_2(capsys, expr):
+    # nesting past the recursion limit, and ints past Python's digit limit
+    assert main(["lc", "eval", expr]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+def test_lc_eval_text_format_with_a_huge_standard_part(capsys):
+    assert main(["--format", "text", "lc", "eval", "10^400"]) == 0
+    st_line = next(line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("st"))
+    assert st_line.endswith("0" * 400)  # no decimal: it overflows a float
+
+
+def test_lc_eval_order_zero_is_rejected(capsys):
+    assert main(["lc", "eval", "1", "--order", "0"]) == 2
+    assert capsys.readouterr().err == "error: --order must be >= 1\n"
+
+
+def test_usage_error_returns_2_without_raising(capsys):
+    # argparse reads a leading '-' as an option, so the expression is missing
+    assert main(["lc", "eval", "-eps"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert sum("error:" in line for line in err.splitlines()) == 1

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as hst
 
-from lcbayes.lcnum import (DEFAULT_ORDER, LCNumber, LCParseError,
-                           NotNearStandard, approx_eq, compare, eps, evaluate,
+from lcbayes.lcnum import (DEFAULT_ORDER, MAX_TERMS, LCNumber, LCParseError,
+                           NotNearStandard, TooManyTerms, approx_eq, compare, eps, evaluate,
                            leq_approx, much_greater, parse,
                            refute_much_greater, st)
 
@@ -328,3 +328,33 @@ def test_standard_numbers_hash_like_their_rationals(order):
         assert {lc: "lc"}[value] == "lc"
     # distinct orders stay one key: equality ignores the order metadata
     assert len({LCNumber(F(1, 2), order), LCNumber(F(1, 2), 2 * order)}) == 1
+
+
+# ----------------------------------------------------------------------
+# the retained-term cap
+# ----------------------------------------------------------------------
+
+
+def test_term_cap_at_construction():
+    terms = [(F(k, MAX_TERMS), 1) for k in range(MAX_TERMS + 1)]
+    assert len(LCNumber.from_terms(terms[:-1], order=1).terms) == MAX_TERMS
+    with pytest.raises(TooManyTerms):
+        LCNumber.from_terms(terms, order=1)
+
+
+def test_inverse_stops_at_the_cap():
+    # 1/(1 + eps^(1/64)) has a term at every k/64 up to the order
+    fits = evaluate("1+eps^1/64", order=8).inverse()
+    assert len(fits.terms) == 8 * 64 + 1 <= MAX_TERMS
+    with pytest.raises(TooManyTerms):
+        evaluate("1+eps^1/64", order=9).inverse()
+
+
+def test_compare_reads_the_first_difference():
+    a = series((0, 1), (1, 2), (3, 5))
+    assert a.compare(series((0, 1), (1, 2), (3, 4))) == 1
+    assert a.compare(series((0, 1), (1, 2), (2, -1))) == 1
+    assert a.compare(series((0, 1), (1, 2), (2, 1))) == -1
+    assert a.compare(series((0, 1), (1, 2))) == 1
+    assert series((0, 1), (1, 2)).compare(a) == -1
+    assert a.compare(a) == 0
