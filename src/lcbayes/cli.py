@@ -14,8 +14,8 @@ Machine output is exact: rationals as "p/q" strings and Levi-Civita
 values in the canonical series syntax; decimal approximations appear
 only in text format.  Identical inputs and flags produce byte-identical
 JSON.  Exit codes: 0 success, 2 malformed input, unknown example or a
-Levi-Civita result past the term cap, 3 internal certificate failure,
-4 division by zero in ``lc eval``.
+Levi-Civita result past the term or coefficient cap, 3 internal
+certificate failure, 4 division by zero in ``lc eval``.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ from .decision import (IndexOutOfRange, SchemaError, ShapeMismatch, check_proced
                        problem_from_json, procedure_to_json_dict, procedures_from_json)
 from .families import (BernoulliBoundaryReport, NormalLocationReport,
                        bernoulli_boundary_report, normal_location_report)
-from .lcnum import LCNumber, LCParseError, NotNearStandard, TooManyTerms, evaluate
+from .lcnum import (CoefficientTooWide, LCNumber, LCParseError, NotNearStandard,
+                    TooManyTerms, evaluate)
 from .priors import ClassificationReport, GameAnalysis, classify, synthesize_prior
 from .ratlp import CertificateError
 
@@ -330,7 +331,7 @@ def main(argv=None) -> int:
     except CertificateError as exc:
         print(f"internal certificate failure: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATE
-    except TooManyTerms as exc:
+    except (TooManyTerms, CoefficientTooWide) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except NotNearStandard as exc:  # pragma: no cover - reports catch this

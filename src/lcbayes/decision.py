@@ -5,10 +5,12 @@ row-stochastic observation model P[state][obs] and a nonnegative loss
 L[state][action], all exact rationals.  Procedures are nonrandomized
 (one action per observation) or randomized (row-stochastic matrix).
 
-Risk is the double sum sum_x P(x|theta) sum_a delta(x,a) L(theta,a) and
-is computed exactly.  Bayes risk is generic in the prior's scalar field:
-rational weights give a rational, Levi-Civita weights give a Levi-Civita
-number, because :class:`lcbayes.lcnum.LCNumber` mixes with Fractions.
+Risk sum_x P(x|theta) sum_a delta(x,a) L(theta,a) is exact.  Risk, Bayes
+scores and the prior game all read the products P(x|theta) L(theta,a)
+from one per-problem table, :attr:`FiniteProblem.scores`.  Bayes risk is
+generic in the prior's scalar field: rational weights give a rational,
+Levi-Civita weights give a Levi-Civita number, because
+:class:`lcbayes.lcnum.LCNumber` mixes with Fractions.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence, Tuple, Union
 
 Rational = Union[int, Fraction]
@@ -150,6 +153,14 @@ class FiniteProblem:
                              tuple(model_rows), tuple(loss_rows),
                              tuple(state_coords), tuple(action_values))
 
+    @cached_property
+    def scores(self) -> Tuple[Tuple[Tuple[Fraction, ...], ...], ...]:
+        """scores[x][a][s] = P_s(x) * L(s, a), the products that risk, Bayes
+        scores and the prior game read.  Built once from the frozen fields."""
+        return tuple(tuple(tuple(self.model[s][x] * self.loss[s][a] for s in range(self.n_states))
+                           for a in range(self.n_actions))
+                     for x in range(self.n_observations))
+
     @property
     def n_states(self) -> int:
         return len(self.state_labels)
@@ -261,58 +272,33 @@ class Prior:
 # ----------------------------------------------------------------------
 
 
-def _check_shapes(problem: FiniteProblem, procedure: Procedure):
+def check_procedure(problem: FiniteProblem,
+                    procedure: Procedure) -> Tuple[Tuple[Fraction, ...], ...]:
+    """The procedure's matrix; ShapeMismatch or IndexOutOfRange unless it fits the problem."""
     if procedure.n_rows() != problem.n_observations:
         raise ShapeMismatch("procedure has one row per observation")
     if procedure.kind == "randomized":
         for row in procedure.matrix_rows:
             if len(row) != problem.n_actions:
                 raise ShapeMismatch("procedure row length must match actions")
-
-
-def check_procedure(problem: FiniteProblem, procedure: Procedure):
-    """Raise ShapeMismatch or IndexOutOfRange unless the procedure fits the problem."""
-    _check_shapes(problem, procedure)
-    procedure.matrix(problem.n_actions)
+    return procedure.matrix(problem.n_actions)
 
 
 def risk(problem: FiniteProblem, procedure: Procedure, state_index: int) -> Fraction:
     """Expected loss at one state, exact."""
     if state_index < 0 or state_index >= problem.n_states:
         raise IndexOutOfRange(f"state index {state_index} out of range")
-    _check_shapes(problem, procedure)
-    mat = procedure.matrix(problem.n_actions)
-    model_row = problem.model[state_index]
-    loss_row = problem.loss[state_index]
-    total = Fraction(0)
-    for x in range(problem.n_observations):
-        px = model_row[x]
-        if px == 0:
-            continue
-        inner = Fraction(0)
-        for a in range(problem.n_actions):
-            w = mat[x][a]
-            if w:
-                inner += w * loss_row[a]
-        total += px * inner
-    return total
+    return risk_vector(problem, procedure)[state_index]
 
 
 def risk_vector(problem: FiniteProblem, procedure: Procedure) -> Tuple[Fraction, ...]:
-    return tuple(risk(problem, procedure, s) for s in range(problem.n_states))
-
-
-def procedure_from_values(problem: FiniteProblem, values: Sequence[Fraction],
-                          offset: int) -> Procedure:
-    """The randomized rule whose delta(x, a) are ``values[offset:]``, row-major.
-
-    The values come from an LP whose constraints make each row a
-    probability vector, so they are not re-validated here.
-    """
-    n_act = problem.n_actions
-    rows = tuple(tuple(values[offset + x * n_act:offset + (x + 1) * n_act])
-                 for x in range(problem.n_observations))
-    return Procedure("randomized", matrix_rows=rows)
+    """Expected loss at every state: sum over (x, a) of delta(x, a) * scores[x][a]."""
+    totals = [Fraction(0)] * problem.n_states
+    for rule_row, score_row in zip(check_procedure(problem, procedure), problem.scores):
+        for w, column in zip(rule_row, score_row):
+            if w:
+                totals = [t + w * v for t, v in zip(totals, column)]
+    return tuple(totals)
 
 
 def bayes_risk(problem: FiniteProblem, procedure: Procedure, prior: Prior):
@@ -389,7 +375,7 @@ def derandomize(problem: FiniteProblem, procedure: Procedure) -> Procedure:
     values = problem.action_values
     if any(v is None for v in values):
         raise NoEmbedding("actions carry no numeric embedding")
-    _check_shapes(problem, procedure)
+    check_procedure(problem, procedure)
     chosen = []
     for row in procedure.matrix_rows:
         mean = sum((w * values[a] for a, w in enumerate(row)), Fraction(0))

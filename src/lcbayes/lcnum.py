@@ -20,7 +20,9 @@ one multiply-add per term of the operand, so an inverse costs at most
 ``MAX_TERMS`` times the operand's length.  A comparison reads the first
 place where two term lists differ.  No result keeps more than
 :data:`MAX_TERMS` terms; past the cap an operation raises
-:class:`TooManyTerms` instead of running on.
+:class:`TooManyTerms` instead of running on.  A power whose leading
+coefficient would pass :data:`MAX_COEFF_BITS` bits raises
+:class:`CoefficientTooWide` before it multiplies.
 """
 
 from __future__ import annotations
@@ -35,6 +37,10 @@ DEFAULT_ORDER = 8
 # exponent step 1/16).  A product of two operands this long takes under
 # a second.
 MAX_TERMS = 2 * 257
+# The widest coefficient, in bits, that a power may build: over 7x the
+# widest (2,218 bits) of tier-1, the demos, the example reports and the
+# lc-reports benchmark, and past the 14,284 bits str() prints by default.
+MAX_COEFF_BITS = 2 ** 14
 
 Rational = Union[int, Fraction]
 Term = Tuple[Fraction, Fraction]  # (exponent, coefficient)
@@ -49,6 +55,10 @@ class TooManyTerms(ArithmeticError):
 
     def __init__(self):
         super().__init__(f"result would keep more than {MAX_TERMS} terms")
+
+
+class CoefficientTooWide(ArithmeticError):
+    """A power's coefficient would pass :data:`MAX_COEFF_BITS` bits."""
 
 
 class LCParseError(ValueError):
@@ -305,14 +315,19 @@ class LCNumber:
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
+        # lead^n has over n * (b - 1) bits, b the wider of lead's two parts
+        b = max(map(int.bit_length, self.leading_coefficient().as_integer_ratio()))
+        if exponent * (b - 1) > MAX_COEFF_BITS:
+            raise CoefficientTooWide(f"a coefficient would pass {MAX_COEFF_BITS} bits")
         result = LCNumber(1, self._order)
         base = self
         n = exponent
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __abs__(self):

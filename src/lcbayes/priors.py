@@ -35,8 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .decision import (FiniteProblem, Prior, Procedure, prior_expectation,
-                       procedure_from_values, risk_vector)
+from .decision import FiniteProblem, Prior, Procedure, prior_expectation, risk_vector
 from .lcnum import LCNumber, NotNearStandard
 from .ratlp import LEQ, EQ, LPProblem, LPStatus, solve_lp
 from .ratlp import CertificateError
@@ -103,7 +102,7 @@ class LCPrior:
 
 
 def minimal_posterior_scores(problem: FiniteProblem, prior: Prior):
-    """For each observation x, min_a sum_theta pi(theta) P_theta(x) loss(theta, a).
+    """For each observation x, min_a sum_theta pi(theta) scores[x][a][theta].
 
     Returns (scores per observation, optimal-action tuples per observation).
     Works for rational and Levi-Civita prior weights alike.
@@ -112,10 +111,9 @@ def minimal_posterior_scores(problem: FiniteProblem, prior: Prior):
     for idx, w in prior.items(problem.n_states):
         weights[idx] = weights.get(idx, 0) + w
     scores, argmins = [], []
-    for x in range(problem.n_observations):
-        per_action = [sum(w * (problem.model[s][x] * problem.loss[s][a])
-                          for s, w in weights.items())
-                      for a in range(problem.n_actions)]
+    for score_row in problem.scores:
+        per_action = [sum(w * column[s] for s, w in weights.items())
+                      for column in score_row]
         best = min(per_action)
         scores.append(best)
         argmins.append(tuple(a for a, v in enumerate(per_action) if v == best))
@@ -134,33 +132,30 @@ def synthesize_prior(problem: FiniteProblem, procedure: Procedure) -> GameAnalys
     LP variables: pi'_theta >= 0 and a free m_x per observation, with
     pi_theta = eta + pi'_theta summing to 1; maximize sum_x m_x -
     sum_theta pi_theta r(theta, cand) subject to m_x <= sum_theta
-    pi_theta P_theta(x) loss(theta, a) for every (x, a).  In pi' the
-    rows read sum pi' = 1 - n eta and m_x - sum_theta pi'_theta
-    score(theta, x, a) <= eta sum_theta score(theta, x, a), so eta sits
-    on the right-hand side only, and the LP objective omits the constant
-    -eta sum_theta r(theta, cand).  At the optimum m_x equals the
-    posterior-score minimum, so the value is min_{D} r(pi, D) - r(pi,
-    cand), maximized over the floored priors.  The duals of the (x, a)
-    rows are the improver D, which :func:`lcbayes.ratlp.check_certificate`
-    has verified with the solve.
+    pi_theta scores[x][a][theta] for every (x, a), the rows of
+    :attr:`FiniteProblem.scores`.  In pi' the rows read sum pi' = 1 - n
+    eta and m_x - sum_theta pi'_theta scores[x][a][theta] <= eta times
+    the row's sum, so eta sits on the right-hand side only, and the LP
+    objective omits the constant -eta sum_theta r(theta, cand).  At the
+    optimum m_x equals the posterior-score minimum, so the value is
+    min_{D} r(pi, D) - r(pi, cand), maximized over the floored priors.
+    The duals of the (x, a) rows are the improver D, which
+    :func:`lcbayes.ratlp.check_certificate` has verified with the solve.
     """
     target = risk_vector(problem, procedure)
     n_states, n_obs, n_act = problem.n_states, problem.n_observations, problem.n_actions
-    n_vars = n_states + n_obs  # pi'_theta, then m_x
-
+    # variables: pi'_theta, then m_x
     objective = [-target[s] for s in range(n_states)] + [Fraction(1)] * n_obs
     rows = [[Fraction(1)] * n_states + [Fraction(0)] * n_obs]
     relations, rhs, rhs_eta = [EQ], [Fraction(1)], [Fraction(-n_states)]
-    for x in range(n_obs):
-        for a in range(n_act):
-            row = [Fraction(0)] * n_vars
-            for s in range(n_states):
-                row[s] = -(problem.model[s][x] * problem.loss[s][a])
+    for x, score_row in enumerate(problem.scores):
+        for column in score_row:
+            row = [-v for v in column] + [Fraction(0)] * n_obs
             row[n_states + x] = Fraction(1)
             rows.append(row)
             relations.append(LEQ)
             rhs.append(Fraction(0))
-            rhs_eta.append(-sum(row[:n_states]))
+            rhs_eta.append(sum(column))
 
     lower: list[Optional[Fraction]] = [Fraction(0)] * n_states + [None] * n_obs
     lp = LPProblem.build(objective, rows, relations, rhs, lower=lower, rhs_eta=rhs_eta)
@@ -170,10 +165,12 @@ def synthesize_prior(problem: FiniteProblem, procedure: Procedure) -> GameAnalys
     prior = Prior(tuple(sol.x[:n_states]))
     _, argmins = minimal_posterior_scores(problem, prior)
     slack = max(Fraction(0), -value)
+    # the duals of the (x, a) rows, after the sum-to-1 row, are D's delta(x, a)
+    improver = Procedure("randomized", matrix_rows=tuple(
+        tuple(sol.row_duals[1 + x * n_act:1 + (x + 1) * n_act]) for x in range(n_obs)))
     return GameAnalysis(value=value, witness_prior=prior,
                         inner_best_responses=tuple(argmins), slack=slack,
-                        prior_possibly_nonunique=value < 0,
-                        improver=procedure_from_values(problem, sol.row_duals, offset=1),
+                        prior_possibly_nonunique=value < 0, improver=improver,
                         candidate_risks=target,
                         total_slack=sum(target) - sol.objective_value_eta)
 

@@ -369,10 +369,14 @@ def test_lc_eval_fine_reciprocal_is_correct_or_rejected(capsys):
 
 
 @pytest.mark.parametrize("expr", ["(" * 400 + "1" + ")" * 400, "0" + "-" * 3000 + "1",
-                                  "9" * 5000, "2^20000"])
+                                  "9" * 5000, "2^20000", "2^16384", "3^10000000",
+                                  "3^100000000"])
 def test_lc_eval_outsized_input_exits_2(capsys, expr):
-    # nesting past the recursion limit, and ints past Python's digit limit
+    # nesting past the recursion limit, ints past Python's digit limit, and
+    # powers past the coefficient cap, which stop before they multiply
+    start = time.perf_counter()
     assert main(["lc", "eval", expr]) == 2
+    assert time.perf_counter() - start < 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1

@@ -1,7 +1,11 @@
 """Risk, Bayes risk, mixtures and derandomization on finite problems."""
 
+import dataclasses
+import importlib
 import random
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,7 @@ from lcbayes.decision import (FiniteProblem, IndexOutOfRange, InvalidProblem,
                               procedure_to_json_dict, procedures_from_json,
                               risk, risk_vector)
 from lcbayes.lcnum import LCNumber, eps, st
+from lcbayes.priors import minimal_posterior_scores
 
 
 def fp1():
@@ -57,6 +62,76 @@ def test_nonrandomized_matches_zero_one_matrix():
 def test_risk_index_out_of_range():
     with pytest.raises(IndexOutOfRange):
         risk(fp1(), rule(F(1, 2)), 5)
+
+
+def reference_risks(model, loss, rule_rows):
+    """sum_x P_s(x) sum_a delta(x, a) L(s, a) at every state, from the raw tables."""
+    return tuple(sum(p_x * sum(d * l_a for d, l_a in zip(rule_rows[x], loss_row))
+                     for x, p_x in enumerate(model_row))
+                 for model_row, loss_row in zip(model, loss))
+
+
+def reference_posterior_minima(model, loss, weights):
+    """Per observation: min_a sum_s pi(s) P_s(x) L(s, a), and the actions attaining it."""
+    minima, argmins = [], []
+    for x in range(len(model[0])):
+        per_action = [sum(weights[s] * model[s][x] * loss[s][a] for s in range(len(model)))
+                      for a in range(len(loss[0]))]
+        minima.append(min(per_action))
+        argmins.append(tuple(a for a, v in enumerate(per_action) if v == minima[-1]))
+    return minima, argmins
+
+
+@pytest.mark.parametrize("sizes", [(2, 2, 1), (3, 4, 2), (5, 3, 3), (6, 6, 2), (10, 10, 3)])
+def test_score_table_matches_reference_on_benchmark_problems(monkeypatch, sizes):
+    # the benchmark's problem generator, read-only
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    workloads = importlib.import_module("workloads")
+    rng = random.Random(f"score-table/{sizes}")
+    n_states, n_obs, _ = sizes
+    for zeros in (False, True):
+        prob = workloads.make_problem(rng, *sizes)
+        model = [list(row) for row in prob["model"]]
+        if zeros:  # move one observation's mass onto another in every row
+            for row in model:
+                x0, x1 = rng.sample(range(n_obs), 2)
+                row[x1], row[x0] = row[x1] + row[x0], F(0)
+        loss = prob["loss"]
+        n_act = len(loss[0])
+        problem = FiniteProblem.build([f"s{s}" for s in range(n_states)],
+                                      [f"x{x}" for x in range(n_obs)],
+                                      [f"a{a}" for a in range(n_act)], model, loss)
+        rules = [Procedure.nonrandomized([rng.randrange(n_act) for _ in range(n_obs)])]
+        for _ in range(3):
+            raw = [[rng.choice((0, 0, 1, 2, 5)) for _ in range(n_act)] for _ in range(n_obs)]
+            for row in raw:
+                row[rng.randrange(n_act)] += 1
+            rules.append(Procedure.randomized([[F(v, sum(row)) for v in row] for row in raw]))
+        for procedure in rules:
+            rule_rows = procedure.matrix(n_act)
+            expected = reference_risks(model, loss, rule_rows)
+            assert risk_vector(problem, procedure) == expected
+            assert [risk(problem, procedure, s) for s in range(n_states)] == list(expected)
+        raw = [rng.randint(1, 9) for _ in range(n_states)]
+        rational = [F(w, sum(raw)) for w in raw]
+        e = eps()
+        infinitesimal = [LCNumber(w) for w in rational]
+        infinitesimal[0], infinitesimal[-1] = infinitesimal[0] - e, infinitesimal[-1] + e
+        for weights in (rational, infinitesimal):
+            scores, argmins = minimal_posterior_scores(problem, Prior(tuple(weights)))
+            assert (scores, argmins) == reference_posterior_minima(model, loss, weights)
+        # the table is no field: a copy without one still equals the original
+        same = dataclasses.replace(problem)
+        assert same == problem and hash(same) == hash(problem)
+        # a problem derived from this one after its table exists gets a table of its own
+        new_loss = tuple(tuple(v + s for v in row) for s, row in enumerate(problem.loss))
+        derived = dataclasses.replace(problem, loss=new_loss)
+        for procedure in rules:
+            assert risk_vector(derived, procedure) == \
+                reference_risks(model, new_loss, procedure.matrix(n_act))
+        scores, argmins = minimal_posterior_scores(derived, Prior(tuple(rational)))
+        assert (scores, argmins) == reference_posterior_minima(model, new_loss, rational)
 
 
 # ----------------------------------------------------------------------

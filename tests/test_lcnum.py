@@ -1,13 +1,15 @@
 """Field, order, and parsing tests for the truncated Levi-Civita numbers."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as hst
 
-from lcbayes.lcnum import (DEFAULT_ORDER, MAX_TERMS, LCNumber, LCParseError,
-                           NotNearStandard, TooManyTerms, approx_eq, compare, eps, evaluate,
+from lcbayes.lcnum import (DEFAULT_ORDER, MAX_COEFF_BITS, MAX_TERMS, CoefficientTooWide,
+                           LCNumber, LCParseError, NotNearStandard, TooManyTerms,
+                           approx_eq, compare, eps, evaluate,
                            leq_approx, much_greater, parse,
                            refute_much_greater, st)
 
@@ -28,14 +30,17 @@ exponents = hst.fractions(min_value=-3, max_value=3, max_denominator=2)
 
 
 @hst.composite
-def lc_numbers(draw, min_terms=0, max_terms=4):
+def lc_numbers(draw, min_terms=0, max_terms=4, exponents=exponents):
     n = draw(hst.integers(min_value=min_terms, max_value=max_terms))
     pairs = [(draw(exponents), draw(coefficients)) for _ in range(n)]
     return series(*pairs)
 
 
 nonzero_lc = lc_numbers(min_terms=1).filter(lambda x: not x.is_zero())
-near_standard_lc = lc_numbers().filter(lambda x: x.is_near_standard())
+# drawn near-standard rather than filtered: with no negative exponent
+# every draw has valuation >= 0 (or is zero), so none is rejected
+near_standard_lc = lc_numbers(
+    exponents=hst.fractions(min_value=0, max_value=3, max_denominator=2))
 
 # For three-operand ring laws, keep each operand's support spread within
 # half the truncation order: every intermediate is then exact on its
@@ -331,7 +336,7 @@ def test_standard_numbers_hash_like_their_rationals(order):
 
 
 # ----------------------------------------------------------------------
-# the retained-term cap
+# the retained-term and coefficient caps
 # ----------------------------------------------------------------------
 
 
@@ -348,6 +353,31 @@ def test_inverse_stops_at_the_cap():
     assert len(fits.terms) == 8 * 64 + 1 <= MAX_TERMS
     with pytest.raises(TooManyTerms):
         evaluate("1+eps^1/64", order=9).inverse()
+
+
+def test_power_stops_at_the_coefficient_cap():
+    # lead^n has over n * (b - 1) bits: 3 and 1/2 have b = 2
+    for base in (LCNumber(3), LCNumber(F(1, 2)) + E, LCNumber(3).inverse()):
+        with pytest.raises(CoefficientTooWide):
+            base ** (MAX_COEFF_BITS + 1)
+    with pytest.raises(CoefficientTooWide):
+        LCNumber(3) ** -(MAX_COEFF_BITS + 1)
+    # at the cap, and for a leading coefficient of 1 or -1, powers stay exact
+    assert LCNumber(2) ** MAX_COEFF_BITS == LCNumber(2 ** MAX_COEFF_BITS)
+    assert (-E) ** (10 ** 9 + 1) == series((10 ** 9 + 1, -1))
+    n = 10 ** 6
+    assert (ONE + E) ** n == series(*[(k, math.comb(n, k)) for k in range(DEFAULT_ORDER + 1)])
+
+
+def test_power_matches_repeated_product():
+    for base in (series((0, F(3, 2)), (1, 1)), series((-1, 1), (0, -2), (F(1, 2), 7)),
+                 series((0, F(-5, 3)), (F(2, 3), F(1, 4))), LCNumber(0)):
+        product = ONE
+        for n in range(13):
+            assert base ** n == product
+            if not base.is_zero():
+                assert base ** -n == product.inverse()
+            product = product * base
 
 
 def test_compare_reads_the_first_difference():

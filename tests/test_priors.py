@@ -207,14 +207,23 @@ def corrupting(monkeypatch, corrupt):
     # the extended-admissible flag flipped
     (fp2, Procedure.nonrandomized([1]),
      lambda v: dataclasses.replace(v, extended_admissible=True), "verdict contradicts"),
+    # the witness prior (1/2, 1/2) moved to t1, where always-a1 beats the
+    # candidate's Bayes risk 1/2 by 1/2 > eps* = 0
+    (fp1, rule(F(1, 2)),
+     lambda v: dataclasses.replace(v, game=dataclasses.replace(
+         v.game, witness_prior=Prior.point(0, 2))),
+     "witness prior fails epsilon-Bayes verification"),
 ], ids=["eps-low", "eps-high", "slack-high", "slack-zero", "witness-entry",
-        "admissible-true", "admissible-false", "extended-true"])
+        "admissible-true", "admissible-false", "extended-true", "prior-weight"])
 def test_classify_rejects_corrupted_verdict(monkeypatch, problem, candidate, corrupt,
                                             message):
-    classify(problem(), candidate)  # the uncorrupted verdict passes
+    # one problem for both calls: its score table, built by the first,
+    # must hold nothing that depends on the verdict's prior
+    problem = problem()
+    classify(problem, candidate)  # the uncorrupted verdict passes
     corrupting(monkeypatch, corrupt)
     with pytest.raises(CertificateError, match=message):
-        classify(problem(), candidate)
+        classify(problem, candidate)
 
 
 def test_domination_inherits_bayes():
