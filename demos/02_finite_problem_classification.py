@@ -18,6 +18,7 @@ from fractions import Fraction as F
 
 from lcbayes import (FiniteProblem, Procedure, classify, risk_vector,
                      synthesize_prior)
+from lcbayes.priors import minimal_posterior_scores
 
 
 def report(problem, procedure, label):
@@ -27,9 +28,9 @@ def report(problem, procedure, label):
     print(f"    admissible        {line.admissible}")
     print(f"    extended adm.     {line.extended_admissible}")
     print(f"    epsilon*          {line.epsilon_star}")
-    print(f"    game value        {line.game_value}")
-    print(f"    witness prior     {line.witness_prior.weights}")
-    print(f"    Bayes slack       {line.bayes_slack}")
+    print(f"    game value        {line.game.value}")
+    print(f"    witness prior     {line.game.witness_prior.weights}")
+    print(f"    Bayes slack       {line.game.slack}")
     if line.witness is not None:
         print(f"    dominating rule   {line.witness.matrix_rows}")
     print()
@@ -52,6 +53,7 @@ report(wasteful, Procedure.nonrandomized([1]), "always the dear action")
 
 print("The witness prior certifies near-Bayes status: for the dear rule,")
 game = synthesize_prior(wasteful, Procedure.nonrandomized([1]))
+_, best_responses = minimal_posterior_scores(wasteful, game.witness_prior)
 print(f"  under prior {game.witness_prior.weights} the best responses per "
-      f"observation are {game.inner_best_responses}")
+      f"observation are {tuple(best_responses)}")
 print(f"  and the rule is {game.slack}-Bayes (slack = -game value exactly).")

@@ -8,10 +8,13 @@ Subpackages by capability:
   infeasibility, and unboundedness certificates.
 * :mod:`lcbayes.decision` - finite decision problems, randomized rules,
   exact risk and Bayes risk, mixtures and derandomization.
-* :mod:`lcbayes.admissibility` - exact LP verdicts: domination, the
-  maximal uniform improvement, admissibility.
-* :mod:`lcbayes.priors` - witness-prior synthesis by zero-sum duality,
-  epsilon-Bayes verification, pushdowns of Levi-Civita priors.
+* :mod:`lcbayes.priors` - the prior game, one LP per verdict: witness
+  prior, the maximal uniform improvement, admissibility and extended
+  admissibility, each verdict checked; epsilon-Bayes verification,
+  pushdowns of Levi-Civita priors.
+* :mod:`lcbayes.admissibility` - domination checks that solve no LP:
+  explicit challengers, the randomized class via the prior game, and
+  Levi-Civita risks on a tagged grid.
 * :mod:`lcbayes.families` - closed-form location and boundary families,
   prior regularity, and grid-scoped admissibility certificates.
 * :mod:`lcbayes.cli` - the ``lcbayes`` command.
@@ -24,13 +27,12 @@ from .ratlp import (CertificateError, LPProblem, LPSolution, LPStatus,
                     MalformedProblem, check_certificate, solve_lp)
 from .decision import (FiniteProblem, Prior, Procedure, bayes_risk,
                        convex_combine, derandomize, risk, risk_vector)
-from .admissibility import (AdmissibilityVerdict, DominationQuery,
-                            check_admissible, check_domination,
-                            check_lc_domination, is_epsilon_dominated,
-                            max_uniform_improvement)
-from .priors import (ClassificationReport, GameAnalysis, LCPrior, classify,
+from .priors import (AdmissibilityVerdict, GameAnalysis, LCPrior,
+                     check_admissible, classify, max_uniform_improvement,
                      minimal_bayes_risk, pushdown, pushdown_risk_consistency,
                      synthesize_prior, verify_epsilon_bayes)
+from .admissibility import (DominationQuery, check_domination,
+                            check_lc_domination, is_epsilon_dominated)
 from .families import (BernoulliBoundary, BlythCertificate, GaussianPrior,
                        NormalLocationLinear, RegularityVerdict,
                        bernoulli_boundary_report, blyth_certificate,

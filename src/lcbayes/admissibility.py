@@ -1,20 +1,15 @@
-"""Exact admissibility verdicts for finite decision problems.
+"""Domination checks for finite decision problems.
 
-Domination and admissibility are decided against the full randomized
-class by linear programming over the product of per-observation action
-simplices.  The extreme points of that polytope are the nonrandomized
-rules, so verdicts against "all randomized procedures" and against
-"all mixtures of nonrandomized rules" coincide; no enumeration of the
-|A|^|X| nonrandomized rules is ever needed.
-
-All verdicts are exact and come from one LP, the prior game of
-:func:`lcbayes.priors.synthesize_prior` with every prior weight floored
-at a positive infinitesimal eta.  Its value is -(epsilon* + eta S*),
-where epsilon* is the largest uniform improvement over the candidate and
-S* the largest total slack of a rule that improves by epsilon*; its
-duals are such a rule.  The candidate is extended admissible iff
-epsilon* = 0 and admissible iff also S* = 0; otherwise that rule
-dominates it and is the witness.
+The checks here solve no LP of their own.  Explicit challenger lists,
+and Levi-Civita risk vectors over a tagged grid, are compared directly.
+Against all randomized procedures, :func:`is_epsilon_dominated` reads
+epsilon* and the admissibility verdict from the prior game of
+:mod:`lcbayes.priors`, the one module that solves, reads and checks that
+LP.  The game ranges over the product of per-observation action
+simplices, whose extreme points are the nonrandomized rules.  So
+verdicts against "all randomized procedures" and against "all mixtures
+of nonrandomized rules" coincide, and the |A|^|X| nonrandomized rules
+are never enumerated.
 """
 
 from __future__ import annotations
@@ -25,7 +20,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 from .decision import FiniteProblem, Procedure, ShapeMismatch, risk_vector
 from .lcnum import LCNumber, approx_eq
-from .priors import GameAnalysis, synthesize_prior
+from .priors import check_admissible, max_uniform_improvement
 
 ALL_RANDOMIZED = "all-randomized"
 
@@ -40,15 +35,6 @@ class DominationQuery:
     def __post_init__(self):
         if self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
-
-
-@dataclass(frozen=True)
-class AdmissibilityVerdict:
-    admissible: bool
-    extended_admissible: bool
-    epsilon_star: Fraction
-    game: GameAnalysis                    # the prior-game solve that gave epsilon*
-    witness: Optional[Procedure] = None
 
 
 def check_domination(query: DominationQuery, challenger: Procedure) -> bool:
@@ -93,38 +79,6 @@ def is_epsilon_dominated(query: DominationQuery) -> Tuple[bool, Optional[Procedu
     if not verdict.admissible:
         return True, verdict.witness
     return False, None
-
-
-def max_uniform_improvement(problem: FiniteProblem,
-                            procedure: Procedure) -> Tuple[Fraction, Procedure]:
-    """The largest uniform risk improvement available over the candidate.
-
-    epsilon* is the largest e such that some randomized D has
-    risk(theta, D) <= risk(theta, candidate) - e for every theta.  It is
-    0 or more (take D = candidate), and the candidate is extended
-    admissible exactly when it is 0.  By LP duality it is minus the
-    prior-game value, and the game's improver is such a D.
-    """
-    game = synthesize_prior(problem, procedure)
-    return -game.value, game.improver
-
-
-def check_admissible(problem: FiniteProblem, procedure: Procedure) -> AdmissibilityVerdict:
-    """Exact admissibility and extended admissibility in one verdict.
-
-    The floored prior game gives epsilon* and S*.  If epsilon* > 0 the
-    candidate is neither admissible nor extended admissible; if
-    epsilon* = 0 it is extended admissible, and admissible iff S* = 0.
-    When it is not admissible, the game's improver, better by epsilon* at
-    every state and with total slack S* > 0, dominates it and is the
-    witness.
-    """
-    game = synthesize_prior(problem, procedure)
-    epsilon_star = -game.value
-    admissible = epsilon_star == 0 and game.total_slack == 0
-    return AdmissibilityVerdict(admissible=admissible, extended_admissible=epsilon_star == 0,
-                                epsilon_star=epsilon_star, game=game,
-                                witness=None if admissible else game.improver)
 
 
 def check_lc_domination(candidate_risks: Sequence[LCNumber],

@@ -26,13 +26,15 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .decision import (IndexOutOfRange, SchemaError, ShapeMismatch, check_procedure,
-                       problem_from_json, procedure_to_json_dict, procedures_from_json)
+from .decision import (FiniteProblem, IndexOutOfRange, Procedure, SchemaError,
+                       ShapeMismatch, check_procedure, problem_from_json,
+                       procedure_to_json_dict, procedures_from_json)
 from .families import (BernoulliBoundaryReport, NormalLocationReport,
                        bernoulli_boundary_report, normal_location_report)
 from .lcnum import (CoefficientTooWide, LCNumber, LCParseError, NotNearStandard,
                     TooManyTerms, evaluate)
-from .priors import ClassificationReport, GameAnalysis, classify, synthesize_prior
+from .priors import (AdmissibilityVerdict, GameAnalysis, classify,
+                     minimal_posterior_scores, synthesize_prior)
 from .ratlp import CertificateError
 
 EXIT_OK = 0
@@ -60,27 +62,29 @@ def _st_fields(value: LCNumber) -> dict:
 # ----------------------------------------------------------------------
 
 
-def classification_payload(report: ClassificationReport) -> dict:
+def classification_payload(procedure: Procedure, verdict: AdmissibilityVerdict) -> dict:
+    game = verdict.game
     payload = {
-        "procedure": procedure_to_json_dict(report.procedure),
-        "admissible": report.admissible,
-        "extended_admissible": report.extended_admissible,
-        "epsilon_star": str(report.epsilon_star),
-        "game_value": str(report.game_value),
-        "prior": [str(w) for w in report.witness_prior.weights],
-        "bayes_slack": str(report.bayes_slack),
+        "procedure": procedure_to_json_dict(procedure),
+        "admissible": verdict.admissible,
+        "extended_admissible": verdict.extended_admissible,
+        "epsilon_star": str(verdict.epsilon_star),
+        "game_value": str(game.value),
+        "prior": [str(w) for w in game.witness_prior.weights],
+        "bayes_slack": str(game.slack),
     }
-    if report.witness is not None:
-        payload["witness"] = procedure_to_json_dict(report.witness)
+    if verdict.witness is not None:
+        payload["witness"] = procedure_to_json_dict(verdict.witness)
     return payload
 
 
-def game_payload(game: GameAnalysis) -> dict:
+def game_payload(problem: FiniteProblem, game: GameAnalysis) -> dict:
+    _, best_responses = minimal_posterior_scores(problem, game.witness_prior)
     return {
         "game_value": str(game.value),
         "prior": [str(w) for w in game.witness_prior.weights],
         "slack": str(game.slack),
-        "inner_best_responses": [list(acts) for acts in game.inner_best_responses],
+        "inner_best_responses": [list(acts) for acts in best_responses],
         "prior_possibly_nonunique": game.prior_possibly_nonunique,
     }
 
@@ -203,7 +207,7 @@ def _print_payload(payload, fmt: str):
 # ----------------------------------------------------------------------
 
 
-_INPUT_ERRORS = (OSError, SchemaError, IndexOutOfRange, ShapeMismatch)
+_INPUT_ERRORS = (OSError, UnicodeDecodeError, SchemaError, IndexOutOfRange, ShapeMismatch)
 
 
 def _cmd_finite(args, fmt: str) -> int:
@@ -221,10 +225,10 @@ def _cmd_finite(args, fmt: str) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     if args.subcommand == "classify":
-        payload = [classification_payload(classify(problem, procedure))
+        payload = [classification_payload(procedure, classify(problem, procedure))
                    for procedure in procedures]
     elif 0 <= args.procedure < len(procedures):
-        payload = game_payload(synthesize_prior(problem, procedures[args.procedure]))
+        payload = game_payload(problem, synthesize_prior(problem, procedures[args.procedure]))
     else:
         print(f"error: procedure index {args.procedure} out of range", file=sys.stderr)
         return EXIT_BAD_INPUT

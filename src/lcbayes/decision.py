@@ -52,12 +52,44 @@ class SchemaError(ValueError):
     """JSON input does not conform to the problem/procedure schema."""
 
 
+# digits allowed in the numerator or the denominator of an input rational:
+# far past any test, demo or benchmark input (18 digits at most); the cap
+# bounds parse time and the size of the inputs, not the size of the results
+MAX_LITERAL_DIGITS = 1000
+_LITERAL_LIMIT = 10 ** MAX_LITERAL_DIGITS
+
+
+def _literal_digits(text: str) -> int:
+    """A bound on the digits of the numerator and of the denominator that
+    ``Fraction(text)`` builds, read off the text without building them:
+    the longer side of "p/q", or a decimal's length plus its exponent."""
+    if "/" in text:  # Fraction takes no exponent in "p/q"
+        return max(len(side) for side in text.split("/"))
+    mantissa, _, exponent = text.lower().partition("e")
+    exponent = exponent.strip().lstrip("+-")
+    if not exponent.isdecimal():  # no exponent, or one that Fraction refuses
+        return len(text)
+    if len(exponent) > len(str(MAX_LITERAL_DIGITS)):
+        return MAX_LITERAL_DIGITS + 1
+    return len(mantissa) + int(exponent)
+
+
 def _frac(value, context: str) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    # bool is an int subclass, but JSON true/false are not numbers
+    if type(value) is int:
+        if abs(value) >= _LITERAL_LIMIT:
+            raise SchemaError(f"rational in {context} has more than "
+                              f"{MAX_LITERAL_DIGITS} digits")
         return Fraction(value)
     if isinstance(value, str):
+        # Fraction() takes digit underscores from Python 3.11 on only
+        if "_" in value:
+            raise SchemaError(f"bad rational {value!r} in {context}")
+        if _literal_digits(value) > MAX_LITERAL_DIGITS:
+            raise SchemaError(f"rational in {context} has more than "
+                              f"{MAX_LITERAL_DIGITS} digits")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -302,12 +334,8 @@ def risk_vector(problem: FiniteProblem, procedure: Procedure) -> Tuple[Fraction,
 
 
 def bayes_risk(problem: FiniteProblem, procedure: Procedure, prior: Prior):
-    """Prior-weighted risk; exact in the prior's scalar field."""
-    return prior_expectation(problem, risk_vector(problem, procedure), prior)
-
-
-def prior_expectation(problem: FiniteProblem, risks: Sequence[Fraction], prior: Prior):
-    """sum_theta pi(theta) * risks[theta], exact in the prior's scalar field."""
+    """sum_theta pi(theta) r(theta, procedure); exact in the prior's scalar field."""
+    risks = risk_vector(problem, procedure)
     return sum(w * risks[idx] for idx, w in prior.items(problem.n_states))
 
 
@@ -416,11 +444,16 @@ def _require_object(entry, what: str):
         raise SchemaError(f"{what} entry {json.dumps(entry)} must be a JSON object")
 
 
-def problem_from_json(text: str) -> FiniteProblem:
+def _load_json(text: str):
     try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    # a JSONDecodeError, an integer past Python's digit limit, or nesting too deep
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"invalid JSON: {exc}") from exc
+
+
+def problem_from_json(text: str) -> FiniteProblem:
+    payload = _load_json(text)
     try:
         states = []
         for entry in payload["states"]:
@@ -465,10 +498,7 @@ def procedure_from_json_dict(payload: dict) -> Procedure:
 
 
 def procedures_from_json(text: str) -> Tuple[Procedure, ...]:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON: {exc}") from exc
+    payload = _load_json(text)
     if not isinstance(payload, list):
         raise SchemaError("procedures file must contain a JSON array")
     return tuple(procedure_from_json_dict(entry) for entry in payload)

@@ -1,4 +1,4 @@
-"""Witness-prior synthesis, Bayes verification, and prior pushdowns.
+"""The prior game, the admissibility verdicts read from it, and prior pushdowns.
 
 The synthesis LP is the zero-sum game dual of the uniform-improvement
 problem: over priors pi it maximizes
@@ -20,9 +20,13 @@ observation, because m_x is free, so they form a randomized rule D, and
 D attains both epsilon* and S*.  The standard part st(pi) is a prior
 under which the candidate is epsilon*-Bayes: a separating-hyperplane
 normal over the finite risk set, produced without any convex-hull
-construction.  So this one LP gives every verdict of
-:mod:`lcbayes.admissibility`: the candidate is admissible exactly when
-the value is 0, and otherwise D dominates it.
+construction.
+
+So this one LP gives every verdict, and this module reads and checks
+it.  :func:`check_admissible` reads epsilon* and S*: the candidate is
+extended admissible exactly when epsilon* = 0, admissible exactly when
+also S* = 0, and otherwise D dominates it.  :func:`classify` re-checks
+that verdict against the problem data.
 
 Priors with Levi-Civita weights (possibly supported on infinitesimal or
 otherwise nonstandard points) push down to standard priors by taking
@@ -35,10 +39,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .decision import FiniteProblem, Prior, Procedure, prior_expectation, risk_vector
+from .decision import FiniteProblem, Prior, Procedure, bayes_risk, risk_vector
 from .lcnum import LCNumber, NotNearStandard
-from .ratlp import LEQ, EQ, LPProblem, LPStatus, solve_lp
-from .ratlp import CertificateError
+from .ratlp import EQ, LEQ, CertificateError, LPProblem, LPStatus, solve_lp
 
 
 @dataclass(frozen=True)
@@ -47,7 +50,6 @@ class GameAnalysis:
 
     value: Fraction                       # v* = -epsilon*, always <= 0
     witness_prior: Prior                  # st(pi), the standard part of the floored prior
-    inner_best_responses: Tuple[Tuple[int, ...], ...]  # optimal actions per observation
     slack: Fraction                       # max(0, -v*): the epsilon in epsilon-Bayes
     prior_possibly_nonunique: bool        # optimal prior is not unique when v* < 0
     improver: Procedure                   # risk <= candidate risk - epsilon* at every state
@@ -56,14 +58,11 @@ class GameAnalysis:
 
 
 @dataclass(frozen=True)
-class ClassificationReport:
-    procedure: Procedure
+class AdmissibilityVerdict:
     admissible: bool
     extended_admissible: bool
     epsilon_star: Fraction
-    game_value: Fraction
-    witness_prior: Prior
-    bayes_slack: Fraction
+    game: GameAnalysis                    # the prior-game solve that gave epsilon*
     witness: Optional[Procedure] = None
 
 
@@ -163,13 +162,11 @@ def synthesize_prior(problem: FiniteProblem, procedure: Procedure) -> GameAnalys
     assert sol.status is LPStatus.OPTIMAL
     value = sol.objective_value
     prior = Prior(tuple(sol.x[:n_states]))
-    _, argmins = minimal_posterior_scores(problem, prior)
     slack = max(Fraction(0), -value)
     # the duals of the (x, a) rows, after the sum-to-1 row, are D's delta(x, a)
     improver = Procedure("randomized", matrix_rows=tuple(
         tuple(sol.row_duals[1 + x * n_act:1 + (x + 1) * n_act]) for x in range(n_obs)))
-    return GameAnalysis(value=value, witness_prior=prior,
-                        inner_best_responses=tuple(argmins), slack=slack,
+    return GameAnalysis(value=value, witness_prior=prior, slack=slack,
                         prior_possibly_nonunique=value < 0, improver=improver,
                         candidate_risks=target,
                         total_slack=sum(target) - sol.objective_value_eta)
@@ -182,31 +179,53 @@ def verify_epsilon_bayes(problem: FiniteProblem, procedure: Procedure,
     Exact in the prior's scalar field; the inner minimum over all
     randomized procedures separates over observations.
     """
-    return _within_epsilon_of_bayes(problem, risk_vector(problem, procedure),
-                                    prior, epsilon)
+    return bayes_risk(problem, procedure, prior) <= minimal_bayes_risk(problem, prior) + epsilon
 
 
-def _within_epsilon_of_bayes(problem: FiniteProblem, risks: Sequence[Fraction],
-                             prior: Prior, epsilon) -> bool:
-    candidate = prior_expectation(problem, risks, prior)
-    return candidate <= minimal_bayes_risk(problem, prior) + epsilon
+def max_uniform_improvement(problem: FiniteProblem,
+                            procedure: Procedure) -> Tuple[Fraction, Procedure]:
+    """The largest uniform risk improvement available over the candidate.
 
-
-def classify(problem: FiniteProblem, procedure: Procedure) -> ClassificationReport:
-    """Full per-procedure verdict with internal consistency checks.
-
-    The verdict comes from one LP, so it is checked here against the
-    problem data: the improver's recomputed risk is at most
-    r(theta, candidate) - epsilon* at every state (so epsilon* is
-    attained), its slacks sum to S*, the eta part of the game value, and
-    the candidate is epsilon*-Bayes under the witness prior by the
-    separable minimum (so no rule improves by more).  The verdict must be
-    admissible exactly when epsilon* = 0 and S* = 0, and an inadmissible
-    verdict's witness must improve by epsilon* everywhere and be strictly
-    better somewhere.
+    epsilon* is the largest e such that some randomized D has
+    risk(theta, D) <= risk(theta, candidate) - e for every theta.  It is
+    0 or more (take D = candidate), and the candidate is extended
+    admissible exactly when it is 0.  By LP duality it is minus the
+    prior-game value, and the game's improver is such a D.
     """
-    from .admissibility import check_admissible
+    game = synthesize_prior(problem, procedure)
+    return -game.value, game.improver
 
+
+def check_admissible(problem: FiniteProblem, procedure: Procedure) -> AdmissibilityVerdict:
+    """Exact admissibility and extended admissibility in one verdict.
+
+    The floored prior game gives epsilon* and S*.  If epsilon* > 0 the
+    candidate is neither admissible nor extended admissible; if
+    epsilon* = 0 it is extended admissible, and admissible iff S* = 0.
+    When it is not admissible, the game's improver, better by epsilon* at
+    every state and with total slack S* > 0, dominates it and is the
+    witness.
+    """
+    game = synthesize_prior(problem, procedure)
+    epsilon_star = -game.value
+    admissible = epsilon_star == 0 and game.total_slack == 0
+    return AdmissibilityVerdict(admissible=admissible, extended_admissible=epsilon_star == 0,
+                                epsilon_star=epsilon_star, game=game,
+                                witness=None if admissible else game.improver)
+
+
+def classify(problem: FiniteProblem, procedure: Procedure) -> AdmissibilityVerdict:
+    """:func:`check_admissible`'s verdict, checked against the problem data.
+
+    The verdict comes from one LP, so it is checked here: the improver's
+    recomputed risk is at most r(theta, candidate) - epsilon* at every
+    state (so epsilon* is attained), its slacks sum to S*, the eta part
+    of the game value, and the candidate is epsilon*-Bayes under the
+    witness prior by the separable minimum (so no rule improves by more).
+    The verdict must be admissible exactly when epsilon* = 0 and S* = 0,
+    and an inadmissible verdict's witness must improve by epsilon*
+    everywhere and be strictly better somewhere.
+    """
     verdict = check_admissible(problem, procedure)
     game = verdict.game
     epsilon_star = verdict.epsilon_star
@@ -219,7 +238,7 @@ def classify(problem: FiniteProblem, procedure: Procedure) -> ClassificationRepo
     if total_slack != game.total_slack:
         raise CertificateError(f"improver's total slack {total_slack} is not "
                                f"S*={game.total_slack}")
-    if not _within_epsilon_of_bayes(problem, risks, game.witness_prior, game.slack):
+    if not verify_epsilon_bayes(problem, procedure, game.witness_prior, game.slack):
         raise CertificateError("witness prior fails epsilon-Bayes verification")
     if (verdict.admissible != (epsilon_star == 0 and game.total_slack == 0)
             or verdict.extended_admissible != (epsilon_star == 0)):
@@ -231,16 +250,7 @@ def classify(problem: FiniteProblem, procedure: Procedure) -> ClassificationRepo
         if (any(w > r - epsilon_star for w, r in zip(beaten, risks))
                 or not any(w < r for w, r in zip(beaten, risks))):
             raise CertificateError("witness does not dominate the candidate")
-    return ClassificationReport(
-        procedure=procedure,
-        admissible=verdict.admissible,
-        extended_admissible=verdict.extended_admissible,
-        epsilon_star=epsilon_star,
-        game_value=game.value,
-        witness_prior=game.witness_prior,
-        bayes_slack=game.slack,
-        witness=verdict.witness,
-    )
+    return verdict
 
 
 # ----------------------------------------------------------------------

@@ -32,6 +32,10 @@ def test_tracer_attributes_classify_lps(monkeypatch):
     assert [(r.admissible, r.epsilon_star) for r in reports] == [(False, 0), (False, 1)]
     metrics = {name: value for name, (value, _) in tracing.layer_metrics(tracer).items()}
     assert metrics["priors.classify.calls"] == 2
+    # classify reads its verdict through the module global the tracer rebinds
+    assert metrics["admissibility.check_admissible.calls"] == metrics["priors.classify.calls"]
+    # and re-checks the witness prior by the separable minimum
+    assert metrics["priors.verify_epsilon_bayes.ms"] > 0
     assert metrics["priors.lps_per_verdict"] == 1.0
     assert metrics["ratlp.solve_lp.game.self_ms"] > 0
     assert metrics["ratlp.solve_lp.admissibility.self_ms"] == 0

@@ -3,6 +3,7 @@
 import json
 import time
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -235,6 +236,64 @@ def test_null_label_is_bad_input(capsys, tmp_path, fp1_files, command):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "error: state label must be a string, got None\n"
+
+
+RAW_DIGITS = "<raw integer of 5000 digits>"
+
+
+@pytest.mark.parametrize("target, path, value, message", [
+    ("problem", ("loss", 0, 0), RAW_DIGITS, "invalid JSON: Exceeds the limit"),
+    ("procedures", (0, "map", 0), RAW_DIGITS, "invalid JSON: Exceeds the limit"),
+    ("problem", ("loss", 0, 0), "1e5000", "rational in loss has more than 1000 digits"),
+    ("problem", ("loss", 0, 0), "1e-10000000", "rational in loss has more than 1000 digits"),
+    ("problem", ("loss", 0, 0), "1" * 1001, "rational in loss has more than 1000 digits"),
+    ("problem", ("loss", 0, 0), "2_0", "bad rational '2_0' in loss"),
+    ("problem", ("model", 0, 0), True, "expected exact rational in model, got bool"),
+    ("problem", ("loss", 0, 1), True, "expected exact rational in loss, got bool"),
+    ("problem", ("actions", 0, "value"), False, "expected exact rational in action value"),
+    ("procedures", (0,), {"kind": "randomized", "matrix": [[True, False]]},
+     "expected exact rational in procedure, got bool"),
+], ids=["loss-5000-digits", "map-5000-digits", "loss-1e5000", "loss-1e-10000000",
+        "loss-1001-digits", "loss-underscore", "model-true", "loss-true", "action-value-false",
+        "matrix-true-false"])
+def test_oversized_or_boolean_rational_is_bad_input(capsys, tmp_path, fp1_files, target,
+                                                    path, value, message):
+    # the 5,000-digit integers raised a ValueError traceback, 1e5000 one at
+    # printing, 1e-10000000 spent seconds in Fraction(), true/false read as 1/0,
+    # and "2_0" parsed on Python 3.11 but not on 3.10
+    problem_path, procedures_path = fp1_files
+    paths = {"problem": Path(problem_path), "procedures": Path(procedures_path)}
+    payload = json.loads(paths[target].read_text())
+    entry = payload
+    for key in path[:-1]:
+        entry = entry[key]
+    entry[path[-1]] = value
+    paths[target] = tmp_path / f"bad-{target}.json"
+    paths[target].write_text(json.dumps(payload).replace(json.dumps(RAW_DIGITS), "9" * 5000))
+    start = time.perf_counter()
+    code = main(["finite", "classify", str(paths["problem"]),
+                 "--procedures", str(paths["procedures"])])
+    captured = capsys.readouterr()
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text, message", [
+    (b"\xff\xfe[]", "'utf-8' codec can't decode"),
+    (b"[" * 100000, "invalid JSON: maximum recursion depth"),
+], ids=["not-utf-8", "nested-too-deep"])
+def test_unreadable_procedures_file_is_bad_input(capsys, tmp_path, fp1_files, text, message):
+    # both used to end in a traceback
+    problem, _ = fp1_files
+    procedures = tmp_path / "procs.json"
+    procedures.write_bytes(text)
+    code = main(["finite", "classify", problem, "--procedures", str(procedures)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
 
 
 # ----------------------------------------------------------------------

@@ -145,7 +145,7 @@ def assert_verdict_matches_oracles(problem: FiniteProblem, candidate: Procedure)
     admissible = strict_admissibility_lp(problem, candidate)
     assert report.admissible == admissible
     assert report.epsilon_star == epsilon_star
-    assert report.game_value == -epsilon_star
+    assert report.game.value == -epsilon_star
     assert report.extended_admissible == (epsilon_star == 0)
     return admissible, epsilon_star
 
@@ -202,7 +202,7 @@ def test_game_epsilon_star_matches_uniform_lp():
         report = classify(problem, candidate)
         assert epsilon_star == expected
         assert report.epsilon_star == expected
-        assert report.game_value == -expected
+        assert report.game.value == -expected
         assert report.extended_admissible == (expected == 0)
         candidate_risks = risk_vector(problem, candidate)
         assert all(d <= r - expected

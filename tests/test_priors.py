@@ -5,15 +5,14 @@ from fractions import Fraction as F
 
 import pytest
 
-import lcbayes.admissibility
+import lcbayes.priors
 
 from lcbayes.decision import FiniteProblem, Prior, Procedure, bayes_risk, risk_vector
 from lcbayes.lcnum import LCNumber, NotNearStandard, eps, st
 from lcbayes.ratlp import CertificateError
-from lcbayes.priors import (LCPrior, classify, minimal_bayes_risk, pushdown,
-                            pushdown_risk_consistency, synthesize_prior,
-                            verify_epsilon_bayes)
-from lcbayes.admissibility import max_uniform_improvement
+from lcbayes.priors import (LCPrior, classify, max_uniform_improvement, minimal_bayes_risk,
+                            minimal_posterior_scores, pushdown, pushdown_risk_consistency,
+                            synthesize_prior, verify_epsilon_bayes)
 from lcbayes.families import BernoulliBoundary, NormalLocationLinear
 
 
@@ -79,9 +78,10 @@ def test_boundary_rule_supported_by_axis_prior():
 
 def test_inner_best_responses_minimize():
     game = synthesize_prior(fp1(), rule(F(1, 2)))
-    assert len(game.inner_best_responses) == 1
+    _, best_responses = minimal_posterior_scores(fp1(), game.witness_prior)
+    assert len(best_responses) == 1
     # under the uniform prior both actions tie
-    assert game.inner_best_responses[0] == (0, 1)
+    assert best_responses[0] == (0, 1)
 
 
 def test_duality_identity_against_uniform_improvement():
@@ -137,16 +137,16 @@ def test_levi_civita_point_prior_bayes():
 def test_classify_symmetric_rule():
     report = classify(fp1(), rule(F(1, 2)))
     assert report.admissible and report.extended_admissible
-    assert report.epsilon_star == 0 and report.game_value == 0
-    assert report.bayes_slack == 0
+    assert report.epsilon_star == 0 and report.game.value == 0
+    assert report.game.slack == 0
     assert report.witness is None
 
 
 def test_classify_dominated_rule():
     report = classify(fp2(), Procedure.nonrandomized([1]))
     assert not report.admissible and not report.extended_admissible
-    assert report.epsilon_star == 1 and report.game_value == -1
-    assert report.bayes_slack == 1
+    assert report.epsilon_star == 1 and report.game.value == -1
+    assert report.game.slack == 1
     assert report.witness is not None
 
 
@@ -175,8 +175,8 @@ def test_game_reports_total_slack():
 
 def corrupting(monkeypatch, corrupt):
     """Make classify read a verdict that ``corrupt`` has altered."""
-    original = lcbayes.admissibility.check_admissible
-    monkeypatch.setattr(lcbayes.admissibility, "check_admissible",
+    original = lcbayes.priors.check_admissible
+    monkeypatch.setattr(lcbayes.priors, "check_admissible",
                         lambda problem, procedure: corrupt(original(problem, procedure)))
 
 
