@@ -13,9 +13,10 @@ Global flags: ``--format json|text`` and ``--order N`` (default 8).
 Machine output is exact: rationals as "p/q" strings and Levi-Civita
 values in the canonical series syntax; decimal approximations appear
 only in text format.  Identical inputs and flags produce byte-identical
-JSON.  Exit codes: 0 success, 2 malformed input, unknown example or a
-Levi-Civita result past the term or coefficient cap, 3 internal
-certificate failure, 4 division by zero in ``lc eval``.
+JSON.  Exit codes: 0 success, 2 malformed input, unknown example, a
+Levi-Civita result past the term or coefficient cap, or a result past
+Python's int-to-text digit limit, 3 internal certificate failure, 4
+division by zero in ``lc eval``.
 """
 
 from __future__ import annotations
@@ -25,17 +26,15 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .decision import (FiniteProblem, IndexOutOfRange, Procedure, SchemaError,
-                       ShapeMismatch, check_procedure, problem_from_json,
-                       procedure_to_json_dict, procedures_from_json)
-from .families import (BernoulliBoundaryReport, NormalLocationReport,
-                       bernoulli_boundary_report, normal_location_report)
 from .lcnum import (CoefficientTooWide, LCNumber, LCParseError, NotNearStandard,
                     TooManyTerms, evaluate)
-from .priors import (AdmissibilityVerdict, GameAnalysis, classify,
-                     minimal_posterior_scores, synthesize_prior)
-from .ratlp import CertificateError
+
+if TYPE_CHECKING:
+    from .decision import FiniteProblem, Procedure
+    from .families import BernoulliBoundaryReport, NormalLocationReport
+    from .priors import AdmissibilityVerdict, GameAnalysis
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -63,6 +62,8 @@ def _st_fields(value: LCNumber) -> dict:
 
 
 def classification_payload(procedure: Procedure, verdict: AdmissibilityVerdict) -> dict:
+    from .decision import procedure_to_json_dict
+
     game = verdict.game
     payload = {
         "procedure": procedure_to_json_dict(procedure),
@@ -79,6 +80,8 @@ def classification_payload(procedure: Procedure, verdict: AdmissibilityVerdict) 
 
 
 def game_payload(problem: FiniteProblem, game: GameAnalysis) -> dict:
+    from .priors import minimal_posterior_scores
+
     _, best_responses = minimal_posterior_scores(problem, game.witness_prior)
     return {
         "game_value": str(game.value),
@@ -207,36 +210,55 @@ def _print_payload(payload, fmt: str):
 # ----------------------------------------------------------------------
 
 
-_INPUT_ERRORS = (OSError, UnicodeDecodeError, SchemaError, IndexOutOfRange, ShapeMismatch)
-
-
 def _cmd_finite(args, fmt: str) -> int:
     """``finite classify`` and ``finite synthesize-prior``.
 
     Only reading and checking the inputs maps errors to exit 2, so a
-    failure inside the solver is never reported as bad input.
+    failure inside the solver is never reported as bad input.  The one
+    other exit 2 is a result too long for Python's int-to-text limit,
+    caught where the payload is written out.
     """
+    from .decision import (IndexOutOfRange, SchemaError, ShapeMismatch, check_procedure,
+                           problem_from_json, procedures_from_json)
+    from .priors import classify, synthesize_prior
+    from .ratlp import CertificateError
+
     try:
         problem = problem_from_json(Path(args.problem).read_text())
         procedures = procedures_from_json(Path(args.procedures).read_text())
         for procedure in procedures:
             check_procedure(problem, procedure)
-    except _INPUT_ERRORS as exc:
+    except (OSError, UnicodeDecodeError, SchemaError, IndexOutOfRange, ShapeMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    if args.subcommand == "classify":
-        payload = [classification_payload(procedure, classify(problem, procedure))
-                   for procedure in procedures]
-    elif 0 <= args.procedure < len(procedures):
-        payload = game_payload(problem, synthesize_prior(problem, procedures[args.procedure]))
-    else:
+    classifying = args.subcommand == "classify"
+    if not classifying and not 0 <= args.procedure < len(procedures):
         print(f"error: procedure index {args.procedure} out of range", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    try:
+        if classifying:
+            verdicts = [classify(problem, procedure) for procedure in procedures]
+        else:
+            game = synthesize_prior(problem, procedures[args.procedure])
+    except CertificateError as exc:
+        print(f"internal certificate failure: {exc}", file=sys.stderr)
+        return EXIT_CERTIFICATE
+    try:
+        if classifying:
+            payload = [classification_payload(procedure, verdict)
+                       for procedure, verdict in zip(procedures, verdicts)]
+        else:
+            payload = game_payload(problem, game)
+    except ValueError as exc:  # an int/str conversion past Python's digit limit
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     _print_payload(payload, fmt)
     return EXIT_OK
 
 
 def _cmd_example(args, fmt: str, order: int) -> int:
+    from .families import bernoulli_boundary_report, normal_location_report
+
     if args.name == "normal-location":
         if args.dim < 1:
             print("error: --dim must be >= 1", file=sys.stderr)
@@ -332,9 +354,6 @@ def main(argv=None) -> int:
             return _cmd_example(args, fmt, order)
         if args.command == "lc" and args.subcommand == "eval":
             return _cmd_lc_eval(args, fmt, order)
-    except CertificateError as exc:
-        print(f"internal certificate failure: {exc}", file=sys.stderr)
-        return EXIT_CERTIFICATE
     except (TooManyTerms, CoefficientTooWide) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -20,9 +20,10 @@ one multiply-add per term of the operand, so an inverse costs at most
 ``MAX_TERMS`` times the operand's length.  A comparison reads the first
 place where two term lists differ.  No result keeps more than
 :data:`MAX_TERMS` terms; past the cap an operation raises
-:class:`TooManyTerms` instead of running on.  A power whose leading
-coefficient would pass :data:`MAX_COEFF_BITS` bits raises
-:class:`CoefficientTooWide` before it multiplies.
+:class:`TooManyTerms` instead of running on.  A power raises
+:class:`CoefficientTooWide` before any multiplication of its
+square-and-multiply loop whose product, or whose final leading
+coefficient, could pass :data:`MAX_COEFF_BITS` bits.
 """
 
 from __future__ import annotations
@@ -83,6 +84,23 @@ def _int_exponents(*term_lists):
     den = math.lcm(*(e.denominator for terms in term_lists for e, _ in terms))
     return den, [[(e.numerator * (den // e.denominator), c) for e, c in terms]
                  for terms in term_lists]
+
+
+def _log2_floor(coeff: Fraction) -> int:
+    """floor(log2) of the wider of a coefficient's numerator and denominator."""
+    return max(abs(coeff.numerator), coeff.denominator).bit_length() - 1
+
+
+def _capped_product(a: "LCNumber", b: "LCNumber") -> "LCNumber":
+    """``a * b``, refused when it could hold a coefficient past the cap.
+
+    Each coefficient of the product sums products of one coefficient of
+    ``a`` and one of ``b``, the widest with over ``wa + wb`` bits.
+    """
+    wa, wb = (max((_log2_floor(c) for _, c in x.terms), default=0) for x in (a, b))
+    if wa + wb > MAX_COEFF_BITS:
+        raise CoefficientTooWide(f"a coefficient would pass {MAX_COEFF_BITS} bits")
+    return a * b
 
 
 class LCNumber:
@@ -315,19 +333,19 @@ class LCNumber:
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        # lead^n has over n * (b - 1) bits, b the wider of lead's two parts
-        b = max(map(int.bit_length, self.leading_coefficient().as_integer_ratio()))
-        if exponent * (b - 1) > MAX_COEFF_BITS:
-            raise CoefficientTooWide(f"a coefficient would pass {MAX_COEFF_BITS} bits")
         result = LCNumber(1, self._order)
         base = self
         n = exponent
         while n:
+            # lead(base)^n ends up whole in the result, with over n times
+            # lead's floor(log2) bits
+            if n * _log2_floor(base.leading_coefficient()) > MAX_COEFF_BITS:
+                raise CoefficientTooWide(f"a coefficient would pass {MAX_COEFF_BITS} bits")
             if n & 1:
-                result = result * base
+                result = _capped_product(result, base)
             n >>= 1
             if n:
-                base = base * base
+                base = _capped_product(base, base)
         return result
 
     def __abs__(self):

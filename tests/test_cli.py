@@ -1,6 +1,7 @@
 """Command-line behavior: output schemas, determinism, exit codes."""
 
 import json
+import sys
 import time
 from importlib import resources
 from pathlib import Path
@@ -296,6 +297,26 @@ def test_unreadable_procedures_file_is_bad_input(capsys, tmp_path, fp1_files, te
     assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="Python without an int/str digit limit")
+def test_classify_result_past_the_digit_limit_exits_2(capsys, tmp_path):
+    # one state, five observations each answered by its own action: the risk
+    # (1/5) * sum 1/(10^999 - i) has a denominator of about 5,000 digits
+    n = 5
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps({
+        "states": [{"label": "t"}], "observations": [f"x{i}" for i in range(n)],
+        "actions": [{"label": f"a{i}"} for i in range(n)], "model": [[f"1/{n}"] * n],
+        "loss": [[f"1/{10 ** 999 - i}" for i in range(1, n + 1)]]}))
+    procedures = tmp_path / "procs.json"
+    procedures.write_text(json.dumps([{"kind": "nonrandomized", "map": list(range(n))}]))
+    assert main(["finite", "classify", str(problem), "--procedures", str(procedures)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "digits" in captured.err
+
+
 # ----------------------------------------------------------------------
 # examples
 # ----------------------------------------------------------------------
@@ -429,10 +450,12 @@ def test_lc_eval_fine_reciprocal_is_correct_or_rejected(capsys):
 
 @pytest.mark.parametrize("expr", ["(" * 400 + "1" + ")" * 400, "0" + "-" * 3000 + "1",
                                   "9" * 5000, "2^20000", "2^16384", "3^10000000",
-                                  "3^100000000"])
+                                  "3^100000000", "(3+eps^1/64)^16384",
+                                  "(1+2^100*eps^1/64)^1024"])
 def test_lc_eval_outsized_input_exits_2(capsys, expr):
     # nesting past the recursion limit, ints past Python's digit limit, and
-    # powers past the coefficient cap, which stop before they multiply
+    # powers past the coefficient cap, which stop before the multiplication
+    # that could pass it
     start = time.perf_counter()
     assert main(["lc", "eval", expr]) == 2
     assert time.perf_counter() - start < 1
