@@ -7,16 +7,18 @@ Subpackages by capability:
 * :mod:`lcbayes.ratlp` - exact-rational simplex with verified optimality,
   infeasibility, and unboundedness certificates.
 * :mod:`lcbayes.decision` - finite decision problems, randomized rules,
-  exact risk and Bayes risk, mixtures and derandomization.
+  exact risk and Bayes risk, mixtures and derandomization; the one prior
+  type, with rational or Levi-Civita weights on states or on parameter
+  points.
 * :mod:`lcbayes.priors` - the prior game, one LP per verdict: witness
   prior, the maximal uniform improvement, admissibility and extended
-  admissibility, each verdict checked; epsilon-Bayes verification,
-  pushdowns of Levi-Civita priors.
+  admissibility, each verdict checked; epsilon-Bayes verification.
 * :mod:`lcbayes.admissibility` - domination checks that solve no LP:
   explicit challengers, the randomized class via the prior game, and
   Levi-Civita risks on a tagged grid.
 * :mod:`lcbayes.families` - closed-form location and boundary families,
-  prior regularity, and grid-scoped admissibility certificates.
+  prior regularity, pushdowns of Levi-Civita priors with their Bayes-risk
+  consistency check, and grid-scoped admissibility certificates.
 * :mod:`lcbayes.cli` - the ``lcbayes`` command.
 
 Each public name below loads its module on first use, so ``import
@@ -34,16 +36,16 @@ _EXPORTS = {
               "MalformedProblem", "check_certificate", "solve_lp"),
     "decision": ("FiniteProblem", "Prior", "Procedure", "bayes_risk",
                  "convex_combine", "derandomize", "risk", "risk_vector"),
-    "priors": ("AdmissibilityVerdict", "GameAnalysis", "LCPrior",
-               "check_admissible", "classify", "max_uniform_improvement",
-               "minimal_bayes_risk", "pushdown", "pushdown_risk_consistency",
+    "priors": ("AdmissibilityVerdict", "GameAnalysis", "check_admissible",
+               "classify", "max_uniform_improvement", "minimal_bayes_risk",
                "synthesize_prior", "verify_epsilon_bayes"),
     "admissibility": ("DominationQuery", "check_domination",
                       "check_lc_domination", "is_epsilon_dominated"),
     "families": ("BernoulliBoundary", "BlythCertificate", "GaussianPrior",
                  "NormalLocationLinear", "RegularityVerdict",
                  "bernoulli_boundary_report", "blyth_certificate",
-                 "check_epsilon_regular_normal", "normal_location_report"),
+                 "check_epsilon_regular_normal", "normal_location_report",
+                 "pushdown", "pushdown_risk_consistency"),
 }
 # public name -> the submodule that defines it
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

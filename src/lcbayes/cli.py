@@ -14,9 +14,9 @@ Machine output is exact: rationals as "p/q" strings and Levi-Civita
 values in the canonical series syntax; decimal approximations appear
 only in text format.  Identical inputs and flags produce byte-identical
 JSON.  Exit codes: 0 success, 2 malformed input, unknown example, a
-Levi-Civita result past the term or coefficient cap, or a result past
-Python's int-to-text digit limit, 3 internal certificate failure, 4
-division by zero in ``lc eval``.
+``--dim`` past :data:`MAX_DIM`, a Levi-Civita result past the term or
+coefficient cap, or a result past Python's int-to-text digit limit, 3
+internal certificate failure, 4 division by zero in ``lc eval``.
 """
 
 from __future__ import annotations
@@ -40,6 +40,13 @@ EXIT_OK = 0
 EXIT_BAD_INPUT = 2
 EXIT_CERTIFICATE = 3
 EXIT_DIV_ZERO = 4
+
+# the largest --dim of the normal-location report: tests, demos and the
+# benchmark use 1-4.  Its time is spent in the rational enclosures of
+# pi^(d/2) for the probe balls, whose numerators and denominators gain 15
+# digits per dimension, so it grows faster than d^2 at every order: about
+# 0.07 s at 256 and 0.5 s at 1,000 in process, 25 s at 8,000 as a command
+MAX_DIM = 256
 
 
 def _emit_json(payload) -> str:
@@ -262,6 +269,9 @@ def _cmd_example(args, fmt: str, order: int) -> int:
     if args.name == "normal-location":
         if args.dim < 1:
             print("error: --dim must be >= 1", file=sys.stderr)
+            return EXIT_BAD_INPUT
+        if args.dim > MAX_DIM:
+            print(f"error: --dim must be <= {MAX_DIM}", file=sys.stderr)
             return EXIT_BAD_INPUT
         report = normal_location_report(args.dim, order=order)
         _print_payload(normal_location_payload(report), fmt)

@@ -260,9 +260,12 @@ class Procedure:
 class Prior:
     """Probability weights over a finite support.
 
-    ``support`` defaults to state indices 0..k-1; weights may be exact
-    rationals or Levi-Civita numbers (for infinitesimally-supported
-    beliefs over the same finite state set).
+    ``support`` defaults to the state indices 0..k-1 of a finite problem.
+    It may instead list parameter points of a family, each a tuple of
+    rational or Levi-Civita coordinates (:meth:`at`).  Weights may be
+    exact rationals or Levi-Civita numbers, so one type holds standard
+    priors and the nonstandard ones of the paper, whose weights or
+    support points may be infinitesimal.
     """
 
     weights: tuple
@@ -297,6 +300,11 @@ class Prior:
         weights = [Fraction(0)] * n
         weights[index] = Fraction(1)
         return Prior(tuple(weights))
+
+    @staticmethod
+    def at(coords: Sequence) -> "Prior":
+        """The point mass at one parameter point."""
+        return Prior((Fraction(1),), support=(tuple(coords),))
 
 
 # ----------------------------------------------------------------------
@@ -352,13 +360,15 @@ def convex_combine(procedures: Sequence[Procedure], weights: Sequence[Rational],
             raise WeightError("mixture weights must be nonnegative")
     if sum(ws) != 1:
         raise WeightError("mixture weights must sum exactly to 1")
-    if n_actions is None:
-        n_actions = max((max(p.action_map) + 1 if p.kind == "nonrandomized"
-                         else len(p.matrix_rows[0])) for p in procedures)
     n_rows = procedures[0].n_rows()
-    for p in procedures:
-        if p.n_rows() != n_rows:
-            raise ShapeMismatch("all procedures must share the observation set")
+    if n_rows == 0 or any(p.n_rows() != n_rows for p in procedures):
+        raise ShapeMismatch("all procedures must share one nonempty observation set")
+    widths = {len(row) for p in procedures if p.kind == "randomized" for row in p.matrix_rows}
+    if n_actions is None:
+        n_actions = max(widths | {max(p.action_map) + 1 for p in procedures
+                                  if p.kind == "nonrandomized"})
+    if widths - {n_actions}:
+        raise ShapeMismatch("randomized rows must have one entry per action")
     mats = [p.matrix(n_actions) for p in procedures]
     mixed = []
     for x in range(n_rows):

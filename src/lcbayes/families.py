@@ -13,6 +13,11 @@ Levi-Civita numbers with the same code path:
   (g(t) - a)^2.  The jump makes the risk discontinuous at 0, which the
   pushdown-consistency check is designed to detect.
 
+A finite prior on a family is a :class:`lcbayes.decision.Prior` whose
+support is parameter points.  Its weights and coordinates may be
+rational or Levi-Civita, and :func:`pushdown` maps it to the standard
+prior on the standard parts of its points.
+
 Gaussian ball masses involve pi and exp; they are handled by enclosing
 rational intervals and the bound exp(-u) >= 1 - u, so only valuations
 and signs (which the enclosures pin down exactly) feed the
@@ -26,8 +31,8 @@ from fractions import Fraction
 from math import isqrt
 from typing import Optional, Sequence, Tuple, Union
 
-from .lcnum import LCNumber, eps, much_greater
-from .priors import LCPrior
+from .decision import Prior, SupportMismatch
+from .lcnum import LCNumber, eps, much_greater, st
 
 Scalar = Union[Fraction, LCNumber]
 
@@ -136,16 +141,6 @@ def _validate_probe(probe: Probe):
         raise BadProbe(f"probe radius must be a positive rational, got {radius!r}")
 
 
-def _zero_of(weights: Sequence[LCNumber]) -> LCNumber:
-    """The start of a sum of some of these weights that may select none.
-
-    The empty mass must still be a Levi-Civita number, because
-    :func:`much_greater` reads its sign; at the largest order of the
-    weights, adding it truncates no nonempty sum.
-    """
-    return LCNumber(0, max(w.order for w in weights))
-
-
 def _regularity_from_bounds(bounds, epsilon: LCNumber) -> RegularityVerdict:
     indeterminate = None
     for probe, (lower, upper) in bounds:
@@ -158,6 +153,27 @@ def _regularity_from_bounds(bounds, epsilon: LCNumber) -> RegularityVerdict:
             indeterminate = RegularityVerdict(INDETERMINATE, witness=probe,
                                               interval=(lower, upper))
     return indeterminate if indeterminate is not None else RegularityVerdict(REGULAR)
+
+
+# ----------------------------------------------------------------------
+# finite priors on parameter points
+# ----------------------------------------------------------------------
+
+
+def _point_masses(prior: Prior):
+    """The prior's (point, weight) pairs; its support must be parameter points."""
+    if prior.support is None or not all(isinstance(p, tuple) for p in prior.support):
+        raise SupportMismatch("a family prior is supported on coordinate tuples")
+    return zip(prior.support, prior.weights)
+
+
+def ball_mass(prior: Prior, center: Sequence[Fraction], radius: Fraction) -> Scalar:
+    """Exact mass a finite prior places on the open ball B(center, radius)."""
+    masses = list(_point_masses(prior))
+    if any(len(point) != len(center) for point, _ in masses):
+        raise SupportMismatch(f"a support point is not in the {len(center)}-d space of the ball")
+    return sum(w for point, w in masses
+               if sum((t - c) * (t - c) for t, c in zip(point, center)) < radius * radius)
 
 
 # ----------------------------------------------------------------------
@@ -336,6 +352,8 @@ class BernoulliBoundary:
 
     @staticmethod
     def success_probability(t: Scalar) -> Scalar:
+        if t > 1:
+            raise ValueError("parameter must lie in [0, 1]")
         if t > 0:
             return t
         if t == 0:
@@ -349,18 +367,18 @@ class BernoulliBoundary:
         g = self.success_probability(t)
         return (1 - g) * (g - a) * (g - a) + g * (g - b) * (g - b)
 
-    def bayes_risk(self, params, pairs) -> Scalar:
-        """pairs: (parameter point, weight); weights sum to 1."""
-        return sum(w * self.risk(params, t) for t, w in pairs)
+    def bayes_risk(self, params, prior: Prior) -> Scalar:
+        return _prior_bayes_risk(self, params, prior)
 
-    def optimal_rule(self, pairs) -> Tuple[Scalar, Scalar]:
+    def optimal_rule(self, prior: Prior) -> Tuple[Scalar, Scalar]:
         """Posterior means of g per observation; exact in the scalar field.
 
         An observation with posterior weight exactly zero is unreachable;
         its component is set to the prior mean of g (any action is
         optimal there).
         """
-        weighted = [(w, self.success_probability(t)) for t, w in pairs]
+        weighted = [(w, self.success_probability(point[0]))
+                    for point, w in _point_masses(prior)]
         prior_mean = heads_den = sum(w * g for w, g in weighted)  # heads weight w*g
         heads_num = sum(w * g * g for w, g in weighted)
         tails_den = sum(w * (1 - g) for w, g in weighted)        # tails weight w*(1-g)
@@ -369,14 +387,43 @@ class BernoulliBoundary:
         heads = prior_mean if heads_den == 0 else heads_num / heads_den
         return (tails, heads)
 
-    def optimal_bayes_risk(self, pairs) -> Scalar:
-        return self.bayes_risk(self.optimal_rule(pairs), pairs)
+    def optimal_bayes_risk(self, prior: Prior) -> Scalar:
+        return self.bayes_risk(self.optimal_rule(prior), prior)
 
-    @staticmethod
-    def ball_mass(prior: LCPrior, center: Fraction, radius: Fraction) -> LCNumber:
-        """Exact mass a finite-support prior places on (center-r, center+r)."""
-        return sum((w for point, w in zip(prior.support, prior.weights)
-                    if abs(point[0] - center) < radius), _zero_of(prior.weights))
+
+# ----------------------------------------------------------------------
+# pushdown of Levi-Civita priors
+# ----------------------------------------------------------------------
+
+
+def pushdown(prior: Prior) -> Prior:
+    """The standard prior obtained by mapping support points to standard parts.
+
+    Support points collapsing to the same standard point pool their
+    weights; each pooled weight is then mapped by the standard part, so
+    a standard prior is its own pushdown.  Any support point with an
+    infinite coordinate has no standard part (mass would escape every
+    compact set) and raises :class:`lcbayes.lcnum.NotNearStandard`.
+    """
+    pooled: dict = {}
+    for point, weight in _point_masses(prior):
+        key = tuple(st(coord) for coord in point)
+        pooled[key] = pooled.get(key, 0) + weight
+    return Prior(weights=tuple(st(w) for w in pooled.values()), support=tuple(pooled))
+
+
+def pushdown_risk_consistency(family, procedure_params, prior: Prior):
+    """Compare a prior's Bayes risk with its pushdown's standard Bayes risk.
+
+    Returns (bayes_risk, standard_bayes_risk, agree) where ``agree`` is
+    ``st(bayes_risk) == standard_bayes_risk``.  Agreement is guaranteed
+    when the family's risk is continuous (e.g. polynomial) in the
+    parameter at the support's standard parts; a False flag detects a
+    discontinuity.
+    """
+    total = _prior_bayes_risk(family, procedure_params, prior)
+    std_total = _prior_bayes_risk(family, procedure_params, pushdown(prior))
+    return total, std_total, st(total) == std_total
 
 
 # ----------------------------------------------------------------------
@@ -404,13 +451,13 @@ class BlythCertificate:
 
 
 def _prior_bayes_risk(family, params, prior_spec) -> Scalar:
+    """The family rule's Bayes risk under a Gaussian or a finite prior."""
     if isinstance(prior_spec, GaussianPrior):
         if not isinstance(family, NormalLocationLinear):
             raise TypeError("Gaussian conjugate prior applies to the location family")
         return family.bayes_risk_gaussian(params, prior_spec.scale)
-    if isinstance(prior_spec, LCPrior):
-        return sum(w * family.risk(params, point)
-                   for point, w in zip(prior_spec.support, prior_spec.weights))
+    if isinstance(prior_spec, Prior):
+        return sum(w * family.risk(params, point) for point, w in _point_masses(prior_spec))
     raise TypeError(f"unsupported prior specification {type(prior_spec).__name__}")
 
 
@@ -419,16 +466,14 @@ def _prior_regularity(family, prior_spec, epsilon: LCNumber,
     if isinstance(prior_spec, GaussianPrior):
         return check_epsilon_regular_normal(family.dim, prior_spec.scale,
                                             epsilon, probes)
-    # finite support: ball masses are exact, lower = upper
-    zero = _zero_of(prior_spec.weights)
+    # finite support: ball masses are exact, lower = upper; much_greater
+    # reads the sign of a Levi-Civita mass, so a rational one is lifted
     bounds = []
     for probe in probes:
         _validate_probe(probe)
-        center, radius = probe
-        inside = [w for point, w in zip(prior_spec.support, prior_spec.weights)
-                  if sum((t - c) * (t - c) for t, c in zip(point, center))
-                  < radius * radius]
-        mass = sum(inside, zero)
+        mass = ball_mass(prior_spec, *probe)
+        if not isinstance(mass, LCNumber):
+            mass = LCNumber(mass, epsilon.order)
         bounds.append((probe, (mass, mass)))
     return _regularity_from_bounds(bounds, epsilon)
 
@@ -520,20 +565,20 @@ def bernoulli_boundary_report(order: int = 8,
     zero_rule = (Fraction(0), Fraction(0))
 
     point = eps(order)
-    lc_pairs = [(point, LCNumber(1, order))]
-    lc_risk = family.bayes_risk(zero_rule, lc_pairs)
+    lc_risk = family.bayes_risk(zero_rule, Prior.at((point,)))
 
     grid = [Fraction(j, prior_grid_size) for j in range(1, prior_grid_size + 1)]
-    priors = [(f"point t={t}", [(t, Fraction(1))]) for t in grid]
-    priors.append(("point t=0", [(Fraction(0), Fraction(1))]))
+    priors = [(f"point t={t}", Prior.at((t,))) for t in grid]
+    priors.append(("point t=0", Prior.at((Fraction(0),))))
     full = grid + [Fraction(0)]
-    priors.append((f"uniform on grid+0",
-                   [(t, Fraction(1, len(full))) for t in full]))
+    priors.append(("uniform on grid+0",
+                   Prior(tuple(Fraction(1, len(full)) for _ in full),
+                         support=tuple((t,) for t in full))))
     non_bayes = []
-    for label, pairs in priors:
-        rule = family.optimal_rule(pairs)
-        best = family.bayes_risk(rule, pairs)
-        cand = family.bayes_risk(zero_rule, pairs)
+    for label, prior in priors:
+        rule = family.optimal_rule(prior)
+        best = family.bayes_risk(rule, prior)
+        cand = family.bayes_risk(zero_rule, prior)
         non_bayes.append(NonBayesEntry(
             prior_label=label, optimal_rule=rule, optimal_bayes_risk=best,
             candidate_bayes_risk=cand, excess=cand - best))

@@ -460,8 +460,9 @@ def compare(a: LCNumber, b) -> int:
     return a.compare(b)
 
 
-def st(a: LCNumber) -> Fraction:
-    return a.standard_part()
+def st(a: Union[LCNumber, Rational]) -> Fraction:
+    """The standard part of a Levi-Civita number; a rational is its own."""
+    return a.standard_part() if isinstance(a, LCNumber) else Fraction(a)
 
 
 def approx_eq(a: LCNumber, b) -> bool:

@@ -1,4 +1,4 @@
-"""The prior game, the admissibility verdicts read from it, and prior pushdowns.
+"""The prior game and the admissibility verdicts read from it.
 
 The synthesis LP is the zero-sum game dual of the uniform-improvement
 problem: over priors pi it maximizes
@@ -27,20 +27,15 @@ it.  :func:`check_admissible` reads epsilon* and S*: the candidate is
 extended admissible exactly when epsilon* = 0, admissible exactly when
 also S* = 0, and otherwise D dominates it.  :func:`classify` re-checks
 that verdict against the problem data.
-
-Priors with Levi-Civita weights (possibly supported on infinitesimal or
-otherwise nonstandard points) push down to standard priors by taking
-standard parts of their support, with group-summed weights.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from .decision import FiniteProblem, Prior, Procedure, bayes_risk, risk_vector
-from .lcnum import LCNumber, NotNearStandard
 from .ratlp import EQ, LEQ, CertificateError, LPProblem, LPStatus, solve_lp
 
 
@@ -64,35 +59,6 @@ class AdmissibilityVerdict:
     epsilon_star: Fraction
     game: GameAnalysis                    # the prior-game solve that gave epsilon*
     witness: Optional[Procedure] = None
-
-
-@dataclass(frozen=True)
-class LCPrior:
-    """Probability weights with Levi-Civita values on explicit points.
-
-    Support points are tuples of Levi-Civita coordinates (dimension d of
-    the parameter space); weights are nonnegative and sum exactly to 1
-    in the Levi-Civita order.
-    """
-
-    support: Tuple[Tuple[LCNumber, ...], ...]
-    weights: Tuple[LCNumber, ...]
-
-    def __post_init__(self):
-        if len(self.support) != len(self.weights):
-            raise ValueError("support and weights must have equal length")
-        if not self.support:
-            raise ValueError("prior needs at least one support point")
-        if any(w < 0 for w in self.weights):
-            raise ValueError("prior weights must be nonnegative")
-        if sum(self.weights) != 1:
-            raise ValueError("prior weights must sum exactly to 1")
-
-    @staticmethod
-    def point(point: Sequence[LCNumber]) -> "LCPrior":
-        pt = tuple(point)
-        one = LCNumber(1, min(c.order for c in pt))
-        return LCPrior((pt,), (one,))
 
 
 # ----------------------------------------------------------------------
@@ -252,52 +218,3 @@ def classify(problem: FiniteProblem, procedure: Procedure) -> AdmissibilityVerdi
             raise CertificateError("witness does not dominate the candidate")
     return verdict
 
-
-# ----------------------------------------------------------------------
-# pushdown of Levi-Civita priors
-# ----------------------------------------------------------------------
-
-
-def pushdown(prior: LCPrior) -> Prior:
-    """The standard prior obtained by mapping support points to standard parts.
-
-    Support points collapsing to the same standard point pool their
-    weights; each pooled Levi-Civita weight is then mapped by the
-    standard part.  Any support point with an infinite coordinate has no
-    standard part (mass would escape every compact set) and raises
-    :class:`NotNearStandard`.
-    """
-    groups: dict[Tuple[Fraction, ...], LCNumber] = {}
-    point_order: list[Tuple[Fraction, ...]] = []
-    for point, weight in zip(prior.support, prior.weights):
-        for coord in point:
-            if not coord.is_near_standard():
-                raise NotNearStandard(
-                    f"support coordinate {coord} has no standard part")
-        key = tuple(coord.standard_part() for coord in point)
-        if key not in groups:
-            groups[key] = weight
-            point_order.append(key)
-        else:
-            groups[key] = groups[key] + weight
-    support = tuple(point_order)
-    weights = tuple(groups[key].standard_part() for key in point_order)
-    return Prior(weights=weights, support=support)
-
-
-def pushdown_risk_consistency(family, procedure_params, prior: LCPrior):
-    """Compare Levi-Civita Bayes risk with its pushdown's standard Bayes risk.
-
-    Returns (lc_bayes_risk, standard_bayes_risk, agree) where ``agree``
-    is ``st(lc value) == standard value``.  Agreement is guaranteed when
-    the family's risk is continuous (e.g. polynomial) in the parameter at
-    the support's standard parts; a False flag detects a discontinuity.
-    """
-    lc_total = sum(weight * family.risk(procedure_params, point)
-                   for point, weight in zip(prior.support, prior.weights))
-    pushed = pushdown(prior)
-    std_total = sum(weight * family.risk(procedure_params, point)
-                    for point, weight in zip(pushed.support, pushed.weights))
-
-    agree = lc_total.standard_part() == std_total
-    return lc_total, std_total, agree

@@ -30,12 +30,10 @@ from lcbayes.decision import (FiniteProblem, Prior, Procedure, derandomize,
                               loss_convex_along_embedding, risk)
 from lcbayes.families import (NOT_REGULAR, REGULAR, BernoulliBoundary,
                               NormalLocationLinear, bernoulli_boundary_report,
-                              normal_location_report)
+                              normal_location_report, pushdown_risk_consistency)
 from lcbayes.lcnum import (LCNumber, eps, much_greater, parse,
                            refute_much_greater, st)
-from lcbayes.priors import (LCPrior, minimal_bayes_risk,
-                            pushdown_risk_consistency, synthesize_prior,
-                            verify_epsilon_bayes)
+from lcbayes.priors import minimal_bayes_risk, synthesize_prior, verify_epsilon_bayes
 
 ORDER = 8
 
@@ -459,7 +457,7 @@ def test_criterion_8_pushdown_consistency():
                               + rng.randint(-2, 2) * eps() for _ in range(dim))
                 c = F(rng.randint(0, 8), 8)
                 _, _, agree = pushdown_risk_consistency(
-                    family, c, LCPrior.point(point))
+                    family, c, Prior.at(point))
                 assert agree
                 cases += 1
         for _ in range(8):
@@ -467,13 +465,13 @@ def test_criterion_8_pushdown_consistency():
             point = (LCNumber(base) + rng.randint(-1, 1) * eps() ** 2,)
             params = (F(rng.randint(0, 4), 4), F(rng.randint(0, 4), 4))
             _, _, agree = pushdown_risk_consistency(
-                boundary, params, LCPrior.point(point))
+                boundary, params, Prior.at(point))
             assert agree
             cases += 1
         assert cases >= 20
         # the boundary discontinuity is detected
         lc_value, std_value, agree = pushdown_risk_consistency(
-            boundary, (F(0), F(0)), LCPrior.point((eps(),)))
+            boundary, (F(0), F(0)), Prior.at((eps(),)))
         assert lc_value == eps() ** 2
         assert std_value == 1
         assert not agree

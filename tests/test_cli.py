@@ -9,7 +9,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from lcbayes.cli import main
+from lcbayes.cli import MAX_DIM, main
 from lcbayes.decision import FiniteProblem, problem_to_json
 from lcbayes.lcnum import MAX_TERMS, evaluate
 
@@ -363,7 +363,14 @@ def test_example_unknown_name(capsys):
 
 
 def test_example_bad_dim(capsys):
-    assert main(["example", "normal-location", "--dim", "0"]) == 2
+    # past the cap, the report would run for seconds to minutes (25 s at 8,000)
+    for dim in (0, MAX_DIM + 1):
+        start = time.perf_counter()
+        assert main(["example", "normal-location", "--dim", str(dim)]) == 2
+        assert time.perf_counter() - start < 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: --dim") and err.count("\n") == 1
+    assert main(["example", "normal-location", "--dim", str(MAX_DIM), "--order", "4"]) == 0
 
 
 # ----------------------------------------------------------------------

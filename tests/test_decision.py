@@ -11,8 +11,8 @@ import pytest
 
 from lcbayes.decision import (FiniteProblem, IndexOutOfRange, InvalidProblem,
                               NoEmbedding, Prior, Procedure, SchemaError,
-                              SupportMismatch, WeightError, bayes_risk,
-                              convex_combine, derandomize,
+                              ShapeMismatch, SupportMismatch, WeightError,
+                              bayes_risk, convex_combine, derandomize,
                               loss_convex_along_embedding, problem_from_json,
                               problem_to_json, procedure_from_json_dict,
                               procedure_to_json_dict, procedures_from_json,
@@ -218,6 +218,14 @@ def test_weight_errors():
         convex_combine([rule(F(1, 2))], [F(1, 2)], n_actions=2)
     with pytest.raises(WeightError):
         convex_combine([rule(F(1, 2))], [F(-1), F(2)][:1], n_actions=2)
+    # shapes are checked once the weights are: action counts and observation rows
+    half = [F(1, 2), F(1, 2)]
+    with pytest.raises(ShapeMismatch):
+        convex_combine([Procedure.randomized([[1, 0, 0]]), Procedure.randomized([[1, 0]])], half)
+    with pytest.raises(ShapeMismatch):
+        convex_combine([Procedure.nonrandomized([]), Procedure.nonrandomized([])], half)
+    with pytest.raises(ShapeMismatch):
+        convex_combine([Procedure.randomized([[0, 0, 1]])], [1], n_actions=2)
 
 
 # ----------------------------------------------------------------------

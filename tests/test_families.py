@@ -5,15 +5,15 @@ from fractions import Fraction as F
 
 import pytest
 
+from lcbayes.decision import Prior, SupportMismatch
 from lcbayes.families import (NOT_REGULAR, REGULAR, BadProbe,
                               BernoulliBoundary, GaussianPrior,
-                              NormalLocationLinear, NotInfinite,
+                              NormalLocationLinear, NotInfinite, ball_mass,
                               ball_volume_interval, bernoulli_boundary_report,
                               blyth_certificate, check_epsilon_regular_normal,
                               default_probes, gaussian_normalizer_interval,
                               normal_location_report)
 from lcbayes.lcnum import LCNumber, eps, st
-from lcbayes.priors import LCPrior
 
 ORDER = 8
 
@@ -182,8 +182,12 @@ def test_success_probability_branches():
     assert family.success_probability(F(1, 3)) == F(1, 3)
     assert family.success_probability(F(0)) == 1
     assert family.success_probability(eps()) == eps()   # infinitesimal takes t-branch
+    for outside in (F(-1), F(2), 1 + eps()):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            family.success_probability(outside)
+    assert family.success_probability(F(1)) == 1
     with pytest.raises(ValueError):
-        family.success_probability(F(-1))
+        family.risk((F(0), F(0)), F(2))
 
 
 def test_risk_values():
@@ -196,38 +200,49 @@ def test_risk_values():
 
 def test_infinitesimal_point_prior_bayes_risk():
     family = BernoulliBoundary()
-    pairs = [(eps(), LCNumber(1))]
-    value = family.bayes_risk((F(0), F(0)), pairs)
+    prior = Prior.at((eps(),))
+    value = family.bayes_risk((F(0), F(0)), prior)
     assert value == eps() ** 2
     assert st(value) == 0
     # the posterior-mean rule achieves Bayes risk exactly 0 at a point prior
-    assert family.optimal_rule(pairs) == (eps(), eps())
-    assert family.optimal_bayes_risk(pairs) == LCNumber(0)
+    assert family.optimal_rule(prior) == (eps(), eps())
+    assert family.optimal_bayes_risk(prior) == LCNumber(0)
     # so the candidate is epsilon-Bayes at infinitesimal slack eps
-    assert value <= family.optimal_bayes_risk(pairs) + eps()
+    assert value <= family.optimal_bayes_risk(prior) + eps()
 
 
 def test_finite_support_ball_mass():
     e = eps()
-    prior = LCPrior(support=((e,), (LCNumber(F(1, 2)),)),
-                    weights=(LCNumber(F(1, 3)), LCNumber(F(2, 3))))
-    assert BernoulliBoundary.ball_mass(prior, F(0), F(1, 4)) == F(1, 3)
-    assert BernoulliBoundary.ball_mass(prior, F(1, 2), F(1, 10)) == F(2, 3)
-    assert BernoulliBoundary.ball_mass(prior, F(0), F(1)) == 1
-    assert BernoulliBoundary.ball_mass(prior, F(2), F(1, 4)) == 0
+    prior = Prior(support=((e,), (LCNumber(F(1, 2)),)),
+                  weights=(LCNumber(F(1, 3)), LCNumber(F(2, 3))))
+    assert ball_mass(prior, (F(0),), F(1, 4)) == F(1, 3)
+    assert ball_mass(prior, (F(1, 2),), F(1, 10)) == F(2, 3)
+    assert ball_mass(prior, (F(0),), F(1)) == 1
+    assert ball_mass(prior, (F(2),), F(1, 4)) == 0
+    # the ball is open, in the Euclidean norm, and a standard prior's mass is rational
+    plane = Prior(support=((F(0), F(0)), (F(3), F(4))), weights=(F(1, 4), F(3, 4)))
+    assert ball_mass(plane, (F(0), F(0)), F(5)) == F(1, 4)
+    assert ball_mass(plane, (F(0), F(0)), F(5) + e) == 1
+    assert ball_mass(plane, (F(3), F(3)), F(3, 2)) == F(3, 4)
+    # a center of another dimension is refused, not read off a coordinate prefix
+    with pytest.raises(SupportMismatch):
+        ball_mass(plane, (F(3),), F(1, 2))
+    with pytest.raises(SupportMismatch):
+        blyth_certificate(NormalLocationLinear(1), F(1), Prior.at((F(0),)), eps(), [F(1)],
+                          probes=[((F(0), F(5)), F(1))])
 
 
 def test_optimal_rule_posterior_means():
     family = BernoulliBoundary()
-    pairs = [(F(1, 4), F(1, 2)), (F(3, 4), F(1, 2))]
-    tails, heads = family.optimal_rule(pairs)
+    prior = Prior(support=((F(1, 4),), (F(3, 4),)), weights=(F(1, 2), F(1, 2)))
+    tails, heads = family.optimal_rule(prior)
     # posterior mean of g given tails: weights (1-g): 3/8 vs 1/8
     assert tails == (F(3, 8) * F(1, 4) + F(1, 8) * F(3, 4)) / F(1, 2)
     assert heads == (F(1, 8) * F(1, 4) + F(3, 8) * F(3, 4)) / F(1, 2)
-    best = family.optimal_bayes_risk(pairs)
+    best = family.optimal_bayes_risk(prior)
     for rule in [(F(0), F(0)), (F(1, 2), F(1, 2)), (tails, heads),
                  (F(1, 4), F(3, 4))]:
-        assert best <= family.bayes_risk(rule, pairs)
+        assert best <= family.bayes_risk(rule, prior)
 
 
 def test_boundary_report_non_bayes_grid():
@@ -287,15 +302,33 @@ def test_blyth_point_prior_fails_regularity():
     # the candidate is epsilon-Bayes on the grid, but a point prior gives
     # faraway balls zero mass, so the regularity half fails
     family = BernoulliBoundary()
-    prior = LCPrior.point((eps(),))
+    prior = Prior.at((eps(),))
     challengers = [(F(a, 4), F(b, 4)) for a in range(5) for b in range(5)]
     cert = blyth_certificate(family, (F(0), F(0)), prior, eps(), challengers)
     assert not cert.certified
     assert "regularity" in cert.reason
     # the near-Bayes half held: every challenger allowed the candidate
-    candidate = family.bayes_risk((F(0), F(0)), [(eps(), LCNumber(1))])
+    candidate = family.bayes_risk((F(0), F(0)), prior)
     for challenger in challengers:
-        assert candidate <= family.bayes_risk(challenger, [(eps(), LCNumber(1))]) + eps()
+        assert candidate <= family.bayes_risk(challenger, prior) + eps()
+
+
+def test_blyth_standard_priors():
+    # rational weights on rational points, through both halves of the certificate
+    family = BernoulliBoundary()
+    cert = blyth_certificate(family, (F(1, 2), F(1, 2)), Prior.at((F(1, 2),)), eps(),
+                             [(F(a, 4), F(b, 4)) for a in range(5) for b in range(5)])
+    assert cert.candidate_bayes_risk == F(0)
+    assert "regularity" in cert.reason
+    assert cert.regularity.witness == ((F(0),), F(1, 2))
+    # mass 1/2 in every default probe ball is infinitely larger than eps
+    location = NormalLocationLinear(1)
+    spread = Prior(support=((F(0),), (F(1),)), weights=(F(1, 2), F(1, 2)))
+    cert = blyth_certificate(location, F(1, 3), spread, eps(), [F(j, 6) for j in range(7)])
+    assert cert.certified, cert.reason
+    assert cert.candidate_bayes_risk == F(1, 3) ** 2 + F(2, 3) ** 2 * F(1, 2)
+    cert = blyth_certificate(location, F(1), spread, eps(), [F(1, 3)])
+    assert cert.reason == "candidate is not epsilon-Bayes against challenger 0"
 
 
 def test_blyth_not_bayes_reason():

@@ -23,15 +23,15 @@ PUBLIC = {
               "check_certificate", "solve_lp"),
     "decision": ("FiniteProblem", "Prior", "Procedure", "bayes_risk", "convex_combine",
                  "derandomize", "risk", "risk_vector"),
-    "priors": ("AdmissibilityVerdict", "GameAnalysis", "LCPrior", "check_admissible",
-               "classify", "max_uniform_improvement", "minimal_bayes_risk", "pushdown",
-               "pushdown_risk_consistency", "synthesize_prior", "verify_epsilon_bayes"),
+    "priors": ("AdmissibilityVerdict", "GameAnalysis", "check_admissible", "classify",
+               "max_uniform_improvement", "minimal_bayes_risk", "synthesize_prior",
+               "verify_epsilon_bayes"),
     "admissibility": ("DominationQuery", "check_domination", "check_lc_domination",
                       "is_epsilon_dominated"),
     "families": ("BernoulliBoundary", "BlythCertificate", "GaussianPrior",
                  "NormalLocationLinear", "RegularityVerdict", "bernoulli_boundary_report",
                  "blyth_certificate", "check_epsilon_regular_normal",
-                 "normal_location_report"),
+                 "normal_location_report", "pushdown", "pushdown_risk_consistency"),
 }
 
 
@@ -76,6 +76,14 @@ def test_finite_classify_loads_no_families_or_admissibility(tmp_path):
     assert not {"lcbayes.families", "lcbayes.admissibility"} & loaded
 
 
+@pytest.mark.parametrize("example", ["normal-location", "bernoulli-boundary"])
+def test_example_loads_no_prior_game_or_solver(example):
+    loaded = modules_loaded_by("from lcbayes.cli import main\n"
+                               f"assert main(['example', {example!r}, '--order', '4']) == 0")
+    assert {"lcbayes.families", "lcbayes.decision"} <= loaded
+    assert not {"lcbayes.priors", "lcbayes.ratlp"} & loaded
+
+
 def test_every_public_name_is_its_submodules_object():
     for module, names in PUBLIC.items():
         home = importlib.import_module(f"lcbayes.{module}")
@@ -85,7 +93,7 @@ def test_every_public_name_is_its_submodules_object():
 
 def test_all_lists_exactly_the_public_names():
     public = [name for names in PUBLIC.values() for name in names]
-    assert len(public) == 52
+    assert len(public) == 51
     assert sorted(lcbayes.__all__) == sorted(public)
     namespace = {}
     exec("from lcbayes import *", namespace)

@@ -7,13 +7,14 @@ import pytest
 
 import lcbayes.priors
 
-from lcbayes.decision import FiniteProblem, Prior, Procedure, bayes_risk, risk_vector
+from lcbayes.decision import (FiniteProblem, Prior, Procedure, SupportMismatch, bayes_risk,
+                              risk_vector)
 from lcbayes.lcnum import LCNumber, NotNearStandard, eps, st
 from lcbayes.ratlp import CertificateError
-from lcbayes.priors import (LCPrior, classify, max_uniform_improvement, minimal_bayes_risk,
-                            minimal_posterior_scores, pushdown, pushdown_risk_consistency,
-                            synthesize_prior, verify_epsilon_bayes)
-from lcbayes.families import BernoulliBoundary, NormalLocationLinear
+from lcbayes.priors import (classify, max_uniform_improvement, minimal_bayes_risk,
+                            minimal_posterior_scores, synthesize_prior, verify_epsilon_bayes)
+from lcbayes.families import (BernoulliBoundary, NormalLocationLinear, pushdown,
+                              pushdown_risk_consistency)
 
 
 def fp1():
@@ -247,8 +248,8 @@ def test_domination_inherits_bayes():
 
 def test_pushdown_standard_parts():
     e = eps()
-    prior = LCPrior(support=((e,), (1 + e * e,)),
-                    weights=(LCNumber(F(1, 2)), LCNumber(F(1, 2))))
+    prior = Prior(support=((e,), (1 + e * e,)),
+                  weights=(LCNumber(F(1, 2)), LCNumber(F(1, 2))))
     pushed = pushdown(prior)
     assert pushed.support == ((F(0),), (F(1),))
     assert pushed.weights == (F(1, 2), F(1, 2))
@@ -256,8 +257,8 @@ def test_pushdown_standard_parts():
 
 def test_pushdown_merges_monad_mates():
     e = eps()
-    prior = LCPrior(support=((e,), (2 * e,)),
-                    weights=(LCNumber(F(1, 3)), LCNumber(F(2, 3))))
+    prior = Prior(support=((e,), (2 * e,)),
+                  weights=(LCNumber(F(1, 3)), LCNumber(F(2, 3))))
     pushed = pushdown(prior)
     assert pushed.support == ((F(0),),)
     assert pushed.weights == (F(1),)
@@ -265,12 +266,12 @@ def test_pushdown_merges_monad_mates():
 
 def test_pushdown_rejects_infinite_support():
     with pytest.raises(NotNearStandard):
-        pushdown(LCPrior(support=((eps().inverse(),),), weights=(LCNumber(1),)))
+        pushdown(Prior(support=((eps().inverse(),),), weights=(LCNumber(1),)))
 
 
 def test_pushdown_preserves_mass_and_fixes_standard_priors():
     e = eps()
-    prior = LCPrior(
+    prior = Prior(
         support=((LCNumber(F(1, 4)),), (LCNumber(F(3, 4)),)),
         weights=(LCNumber(F(2, 5)), LCNumber(F(3, 5))))
     pushed = pushdown(prior)
@@ -278,10 +279,25 @@ def test_pushdown_preserves_mass_and_fixes_standard_priors():
     assert pushed.support == ((F(1, 4),), (F(3, 4),))
     assert pushed.weights == (F(2, 5), F(3, 5))
     # infinitesimal perturbations do not move the pushdown
-    perturbed = LCPrior(
+    perturbed = Prior(
         support=((LCNumber(F(1, 4)) + e,), (LCNumber(F(3, 4)) - e * e,)),
         weights=(LCNumber(F(2, 5)) , LCNumber(F(3, 5))))
     assert pushdown(perturbed) == pushed
+
+
+def test_pushdown_of_a_standard_prior_is_itself():
+    standard = Prior(support=((F(1, 4), F(-2)), (F(3, 4), F(0))), weights=(F(2, 5), F(3, 5)))
+    assert pushdown(standard) == standard
+    e = eps()
+    for prior in (standard, Prior.at((F(1, 2),)),
+                  Prior(support=((e,), (1 + e * e,), (2 * e,)),
+                        weights=(LCNumber(F(1, 4)), LCNumber(F(1, 2)), LCNumber(F(1, 4))))):
+        assert pushdown(pushdown(prior)) == pushdown(prior)
+
+
+def test_pushdown_needs_parameter_points():
+    with pytest.raises(SupportMismatch):
+        pushdown(Prior.uniform(2))
 
 
 # ----------------------------------------------------------------------
@@ -292,7 +308,7 @@ def test_pushdown_preserves_mass_and_fixes_standard_priors():
 def test_boundary_discontinuity_detected():
     # the jump of the success probability at 0 breaks the consistency flag
     family = BernoulliBoundary()
-    prior = LCPrior.point((eps(),))
+    prior = Prior.at((eps(),))
     lc_value, std_value, agree = pushdown_risk_consistency(
         family, (F(0), F(0)), prior)
     assert lc_value == eps() ** 2
@@ -302,7 +318,7 @@ def test_boundary_discontinuity_detected():
 
 def test_interior_point_consistent():
     family = BernoulliBoundary()
-    prior = LCPrior.point((LCNumber(F(1, 2)) + eps(),))
+    prior = Prior.at((LCNumber(F(1, 2)) + eps(),))
     lc_value, std_value, agree = pushdown_risk_consistency(
         family, (F(0), F(0)), prior)
     assert std_value == F(1, 4)
@@ -312,7 +328,20 @@ def test_interior_point_consistent():
 
 def test_polynomial_location_risk_consistent():
     family = NormalLocationLinear(1)
-    prior = LCPrior.point((1 + eps(),))
+    prior = Prior.at((1 + eps(),))
     lc_value, std_value, agree = pushdown_risk_consistency(family, F(1, 2), prior)
     assert agree
     assert std_value == family.risk(F(1, 2), (F(1),))
+
+
+def test_standard_prior_risk_consistency():
+    # rational weights on rational points: both risks are the same rational
+    location = NormalLocationLinear(2)
+    prior = Prior(support=((F(1), F(0)), (F(0), F(-3, 2))), weights=(F(1, 3), F(2, 3)))
+    value, std_value, agree = pushdown_risk_consistency(location, F(1, 2), prior)
+    assert value == std_value == 2 * F(1, 4) + F(1, 4) * (F(1, 3) + F(2, 3) * F(9, 4))
+    assert agree
+    value, std_value, agree = pushdown_risk_consistency(
+        BernoulliBoundary(), (F(0), F(0)), Prior.at((F(1, 2),)))
+    assert value == std_value == F(1, 4)
+    assert agree
