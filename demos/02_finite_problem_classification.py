@@ -10,6 +10,10 @@ Two tiny problems with one uninformative observation:
   exactly -1 with a Bayes slack of 1.
 
 Every number is an exact rational produced by a verified LP certificate.
+One LP, the prior game, returns one verdict record: epsilon* (the game
+value is -epsilon*, and the Bayes slack is epsilon*), the witness prior,
+the improving rule and the candidate's risks; the admissibility flags
+and the dominating rule are read from it.
 
 Run:  python demos/02_finite_problem_classification.py
 """
@@ -28,9 +32,9 @@ def report(problem, procedure, label):
     print(f"    admissible        {line.admissible}")
     print(f"    extended adm.     {line.extended_admissible}")
     print(f"    epsilon*          {line.epsilon_star}")
-    print(f"    game value        {line.game.value}")
-    print(f"    witness prior     {line.game.witness_prior.weights}")
-    print(f"    Bayes slack       {line.game.slack}")
+    print(f"    game value        {-line.epsilon_star}")
+    print(f"    witness prior     {line.witness_prior.weights}")
+    print(f"    Bayes slack       {line.epsilon_star}")
     if line.witness is not None:
         print(f"    dominating rule   {line.witness.matrix_rows}")
     print()
@@ -56,4 +60,4 @@ game = synthesize_prior(wasteful, Procedure.nonrandomized([1]))
 _, best_responses = minimal_posterior_scores(wasteful, game.witness_prior)
 print(f"  under prior {game.witness_prior.weights} the best responses per "
       f"observation are {tuple(best_responses)}")
-print(f"  and the rule is {game.slack}-Bayes (slack = -game value exactly).")
+print(f"  and the rule is {game.epsilon_star}-Bayes (slack = -game value exactly).")

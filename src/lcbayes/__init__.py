@@ -10,9 +10,11 @@ Subpackages by capability:
   exact risk and Bayes risk, mixtures and derandomization; the one prior
   type, with rational or Levi-Civita weights on states or on parameter
   points.
-* :mod:`lcbayes.priors` - the prior game, one LP per verdict: witness
-  prior, the maximal uniform improvement, admissibility and extended
-  admissibility, each verdict checked; epsilon-Bayes verification.
+* :mod:`lcbayes.priors` - the prior game, one LP per verdict, returned as
+  one record (epsilon*, the total slack S*, the witness prior, the
+  improver and the candidate's risks) from which admissibility and
+  extended admissibility are read; each verdict checked; epsilon-Bayes
+  verification.
 * :mod:`lcbayes.admissibility` - domination checks that solve no LP:
   explicit challengers, the randomized class via the prior game, and
   Levi-Civita risks on a tagged grid.
@@ -36,9 +38,9 @@ _EXPORTS = {
               "MalformedProblem", "check_certificate", "solve_lp"),
     "decision": ("FiniteProblem", "Prior", "Procedure", "bayes_risk",
                  "convex_combine", "derandomize", "risk", "risk_vector"),
-    "priors": ("AdmissibilityVerdict", "GameAnalysis", "check_admissible",
-               "classify", "max_uniform_improvement", "minimal_bayes_risk",
-               "synthesize_prior", "verify_epsilon_bayes"),
+    "priors": ("AdmissibilityVerdict", "check_admissible", "classify",
+               "max_uniform_improvement", "minimal_bayes_risk", "synthesize_prior",
+               "verify_epsilon_bayes"),
     "admissibility": ("DominationQuery", "check_domination",
                       "check_lc_domination", "is_epsilon_dominated"),
     "families": ("BernoulliBoundary", "BlythCertificate", "GaussianPrior",

@@ -20,6 +20,8 @@ from typing import Optional, Sequence, Tuple, Union
 
 from .decision import FiniteProblem, Procedure, ShapeMismatch, risk_vector
 from .lcnum import LCNumber, approx_eq
+# both readers are re-exported here, where tests and the benchmark's
+# tracer find them; only check_admissible is called
 from .priors import check_admissible, max_uniform_improvement
 
 ALL_RANDOMIZED = "all-randomized"
@@ -70,14 +72,9 @@ def is_epsilon_dominated(query: DominationQuery) -> Tuple[bool, Optional[Procedu
         return False, None
     if query.challenger_class != ALL_RANDOMIZED:
         raise ValueError(f"unknown challenger class {query.challenger_class!r}")
-    if query.epsilon > 0:
-        epsilon_star, witness = max_uniform_improvement(query.problem, query.candidate)
-        if query.epsilon <= epsilon_star:
-            return True, witness
-        return False, None
     verdict = check_admissible(query.problem, query.candidate)
-    if not verdict.admissible:
-        return True, verdict.witness
+    if (query.epsilon <= verdict.epsilon_star) if query.epsilon > 0 else not verdict.admissible:
+        return True, verdict.improver
     return False, None
 
 

@@ -34,7 +34,7 @@ from .lcnum import (CoefficientTooWide, LCNumber, LCParseError, NotNearStandard,
 if TYPE_CHECKING:
     from .decision import FiniteProblem, Procedure
     from .families import BernoulliBoundaryReport, NormalLocationReport
-    from .priors import AdmissibilityVerdict, GameAnalysis
+    from .priors import AdmissibilityVerdict
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -71,31 +71,30 @@ def _st_fields(value: LCNumber) -> dict:
 def classification_payload(procedure: Procedure, verdict: AdmissibilityVerdict) -> dict:
     from .decision import procedure_to_json_dict
 
-    game = verdict.game
     payload = {
         "procedure": procedure_to_json_dict(procedure),
         "admissible": verdict.admissible,
         "extended_admissible": verdict.extended_admissible,
         "epsilon_star": str(verdict.epsilon_star),
-        "game_value": str(game.value),
-        "prior": [str(w) for w in game.witness_prior.weights],
-        "bayes_slack": str(game.slack),
+        "game_value": str(-verdict.epsilon_star),
+        "prior": [str(w) for w in verdict.witness_prior.weights],
+        "bayes_slack": str(verdict.epsilon_star),
     }
     if verdict.witness is not None:
         payload["witness"] = procedure_to_json_dict(verdict.witness)
     return payload
 
 
-def game_payload(problem: FiniteProblem, game: GameAnalysis) -> dict:
+def game_payload(problem: FiniteProblem, verdict: AdmissibilityVerdict) -> dict:
     from .priors import minimal_posterior_scores
 
-    _, best_responses = minimal_posterior_scores(problem, game.witness_prior)
+    _, best_responses = minimal_posterior_scores(problem, verdict.witness_prior)
     return {
-        "game_value": str(game.value),
-        "prior": [str(w) for w in game.witness_prior.weights],
-        "slack": str(game.slack),
+        "game_value": str(-verdict.epsilon_star),
+        "prior": [str(w) for w in verdict.witness_prior.weights],
+        "slack": str(verdict.epsilon_star),
         "inner_best_responses": [list(acts) for acts in best_responses],
-        "prior_possibly_nonunique": game.prior_possibly_nonunique,
+        "prior_possibly_nonunique": verdict.epsilon_star > 0,
     }
 
 
@@ -246,7 +245,7 @@ def _cmd_finite(args, fmt: str) -> int:
         if classifying:
             verdicts = [classify(problem, procedure) for procedure in procedures]
         else:
-            game = synthesize_prior(problem, procedures[args.procedure])
+            verdict = synthesize_prior(problem, procedures[args.procedure])
     except CertificateError as exc:
         print(f"internal certificate failure: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATE
@@ -255,7 +254,7 @@ def _cmd_finite(args, fmt: str) -> int:
             payload = [classification_payload(procedure, verdict)
                        for procedure, verdict in zip(procedures, verdicts)]
         else:
-            payload = game_payload(problem, game)
+            payload = game_payload(problem, verdict)
     except ValueError as exc:  # an int/str conversion past Python's digit limit
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

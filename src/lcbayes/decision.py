@@ -262,8 +262,8 @@ class Prior:
 
     ``support`` defaults to the state indices 0..k-1 of a finite problem.
     It may instead list parameter points of a family, each a tuple of
-    rational or Levi-Civita coordinates (:meth:`at`).  Weights may be
-    exact rationals or Levi-Civita numbers, so one type holds standard
+    rational or Levi-Civita coordinates (:meth:`at`).  Weights must be
+    ints, Fractions or Levi-Civita numbers, so one type holds standard
     priors and the nonstandard ones of the paper, whose weights or
     support points may be infinitesimal.
     """
@@ -272,6 +272,13 @@ class Prior:
     support: Optional[tuple] = None
 
     def __post_init__(self):
+        for w in self.weights:
+            # a float weight makes every Bayes risk inexact; a bool is no weight
+            if type(w) is not int and not isinstance(w, Fraction):
+                from .lcnum import LCNumber  # already loaded if w is one
+                if not isinstance(w, LCNumber):
+                    raise WeightError(f"prior weight {w!r} is not an int, a Fraction "
+                                      "or a Levi-Civita number")
         if any(w < 0 for w in self.weights):
             raise WeightError("prior weights must be nonnegative")
         if sum(self.weights) != 1:
@@ -287,7 +294,8 @@ class Prior:
         else:
             support = self.support
         for idx, w in zip(support, self.weights):
-            if not isinstance(idx, int) or idx < 0 or idx >= n_states:
+            # bool is an int subclass, but True/False are not state indices
+            if type(idx) is not int or idx < 0 or idx >= n_states:
                 raise SupportMismatch(f"support point {idx!r} is not a state index")
             yield idx, w
 
@@ -390,6 +398,9 @@ def loss_convex_along_embedding(problem: FiniteProblem) -> bool:
     if any(v is None for v in values):
         raise NoEmbedding("actions carry no numeric embedding")
     idx = sorted(range(problem.n_actions), key=lambda a: values[a])
+    for a0, a1 in zip(idx, idx[1:]):
+        if values[a0] == values[a1]:
+            raise NoEmbedding(f"two actions share the embedded value {values[a0]}")
     for loss_row in problem.loss:
         for k in range(len(idx) - 2):
             a0, a1, a2 = idx[k], idx[k + 1], idx[k + 2]

@@ -487,24 +487,15 @@ def blyth_certificate(family, params, prior_spec, epsilon: LCNumber,
     challengers = list(challengers)
     candidate_risk = _prior_bayes_risk(family, params, prior_spec)
     regularity = _prior_regularity(family, prior_spec, epsilon, probes)
+    reason = None
     for i, challenger in enumerate(challengers):
-        challenger_risk = _prior_bayes_risk(family, challenger, prior_spec)
-        if not (candidate_risk <= challenger_risk + epsilon):
-            return BlythCertificate(
-                certified=False,
-                reason=f"candidate is not epsilon-Bayes against challenger {i}",
-                candidate_bayes_risk=candidate_risk, epsilon=epsilon,
-                challenger_count=len(challengers), probes=tuple(probes),
-                regularity=regularity)
-    if regularity.verdict != REGULAR:
-        return BlythCertificate(
-            certified=False,
-            reason=f"prior regularity verdict is {regularity.verdict}",
-            candidate_bayes_risk=candidate_risk, epsilon=epsilon,
-            challenger_count=len(challengers), probes=tuple(probes),
-            regularity=regularity)
+        if not candidate_risk <= _prior_bayes_risk(family, challenger, prior_spec) + epsilon:
+            reason = f"candidate is not epsilon-Bayes against challenger {i}"
+            break
+    if reason is None and regularity.verdict != REGULAR:
+        reason = f"prior regularity verdict is {regularity.verdict}"
     return BlythCertificate(
-        certified=True, reason=None,
+        certified=reason is None, reason=reason,
         candidate_bayes_risk=candidate_risk, epsilon=epsilon,
         challenger_count=len(challengers), probes=tuple(probes),
         regularity=regularity)
@@ -513,6 +504,10 @@ def blyth_certificate(family, params, prior_spec, epsilon: LCNumber,
 # ----------------------------------------------------------------------
 # boundary example report
 # ----------------------------------------------------------------------
+
+
+# exhibit (ii) of the boundary report: point priors at t = 1/10, ..., 1
+PRIOR_GRID_SIZE = 10
 
 
 @dataclass(frozen=True)
@@ -539,7 +534,6 @@ class BernoulliBoundaryReport:
 
 
 def bernoulli_boundary_report(order: int = 8,
-                              prior_grid_size: int = 10,
                               challenger_step: int = 20,
                               state_count: int = 40) -> BernoulliBoundaryReport:
     """The admissible-but-not-Bayes boundary example, exactly.
@@ -567,7 +561,7 @@ def bernoulli_boundary_report(order: int = 8,
     point = eps(order)
     lc_risk = family.bayes_risk(zero_rule, Prior.at((point,)))
 
-    grid = [Fraction(j, prior_grid_size) for j in range(1, prior_grid_size + 1)]
+    grid = [Fraction(j, PRIOR_GRID_SIZE) for j in range(1, PRIOR_GRID_SIZE + 1)]
     priors = [(f"point t={t}", Prior.at((t,))) for t in grid]
     priors.append(("point t=0", Prior.at((Fraction(0),))))
     full = grid + [Fraction(0)]

@@ -23,10 +23,12 @@ normal over the finite risk set, produced without any convex-hull
 construction.
 
 So this one LP gives every verdict, and this module reads and checks
-it.  :func:`check_admissible` reads epsilon* and S*: the candidate is
-extended admissible exactly when epsilon* = 0, admissible exactly when
-also S* = 0, and otherwise D dominates it.  :func:`classify` re-checks
-that verdict against the problem data.
+it.  :func:`synthesize_prior` returns one :class:`AdmissibilityVerdict`
+holding epsilon*, S*, st(pi), D and the candidate's risks; the
+candidate is extended admissible exactly when epsilon* = 0, admissible
+exactly when also S* = 0, and otherwise D dominates it.
+:func:`check_admissible` reads that record and :func:`classify`
+re-checks it against the problem data.
 """
 
 from __future__ import annotations
@@ -40,25 +42,33 @@ from .ratlp import EQ, LEQ, CertificateError, LPProblem, LPStatus, solve_lp
 
 
 @dataclass(frozen=True)
-class GameAnalysis:
-    """Outcome of the prior-synthesis game for one candidate procedure."""
-
-    value: Fraction                       # v* = -epsilon*, always <= 0
-    witness_prior: Prior                  # st(pi), the standard part of the floored prior
-    slack: Fraction                       # max(0, -v*): the epsilon in epsilon-Bayes
-    prior_possibly_nonunique: bool        # optimal prior is not unique when v* < 0
-    improver: Procedure                   # risk <= candidate risk - epsilon* at every state
-    candidate_risks: Tuple[Fraction, ...]  # the game's payoff data: r(theta, candidate)
-    total_slack: Fraction                 # S* = -(eta coefficient of the game value)
-
-
-@dataclass(frozen=True)
 class AdmissibilityVerdict:
-    admissible: bool
-    extended_admissible: bool
-    epsilon_star: Fraction
-    game: GameAnalysis                    # the prior-game solve that gave epsilon*
-    witness: Optional[Procedure] = None
+    """What the floored prior game returns for one candidate procedure.
+
+    The game value -(epsilon* + eta S*) settles every verdict: the
+    candidate is extended admissible exactly when epsilon* = 0, and
+    admissible exactly when also S* = 0; otherwise the improver
+    dominates it and is the witness.
+    """
+
+    epsilon_star: Fraction                 # the largest uniform improvement, >= 0
+    total_slack: Fraction                  # S* = -(eta coefficient of the game value)
+    witness_prior: Prior                   # st(pi): the candidate is epsilon*-Bayes under it
+    improver: Procedure                    # risk <= candidate risk - epsilon* at every state
+    candidate_risks: Tuple[Fraction, ...]  # the game's payoff data: r(theta, candidate)
+
+    @property
+    def extended_admissible(self) -> bool:
+        return self.epsilon_star == 0
+
+    @property
+    def admissible(self) -> bool:
+        return self.epsilon_star == 0 and self.total_slack == 0
+
+    @property
+    def witness(self) -> Optional[Procedure]:
+        """The dominating rule, or None for an admissible candidate."""
+        return None if self.admissible else self.improver
 
 
 # ----------------------------------------------------------------------
@@ -91,8 +101,8 @@ def minimal_bayes_risk(problem: FiniteProblem, prior: Prior):
     return sum(scores)
 
 
-def synthesize_prior(problem: FiniteProblem, procedure: Procedure) -> GameAnalysis:
-    """Witness prior, game value and improver for one candidate.
+def synthesize_prior(problem: FiniteProblem, procedure: Procedure) -> AdmissibilityVerdict:
+    """Witness prior, epsilon*, S* and improver for one candidate.
 
     LP variables: pi'_theta >= 0 and a free m_x per observation, with
     pi_theta = eta + pi'_theta summing to 1; maximize sum_x m_x -
@@ -126,16 +136,13 @@ def synthesize_prior(problem: FiniteProblem, procedure: Procedure) -> GameAnalys
     lp = LPProblem.build(objective, rows, relations, rhs, lower=lower, rhs_eta=rhs_eta)
     sol = solve_lp(lp)
     assert sol.status is LPStatus.OPTIMAL
-    value = sol.objective_value
-    prior = Prior(tuple(sol.x[:n_states]))
-    slack = max(Fraction(0), -value)
     # the duals of the (x, a) rows, after the sum-to-1 row, are D's delta(x, a)
     improver = Procedure("randomized", matrix_rows=tuple(
         tuple(sol.row_duals[1 + x * n_act:1 + (x + 1) * n_act]) for x in range(n_obs)))
-    return GameAnalysis(value=value, witness_prior=prior, slack=slack,
-                        prior_possibly_nonunique=value < 0, improver=improver,
-                        candidate_risks=target,
-                        total_slack=sum(target) - sol.objective_value_eta)
+    return AdmissibilityVerdict(epsilon_star=-sol.objective_value,
+                                total_slack=sum(target) - sol.objective_value_eta,
+                                witness_prior=Prior(tuple(sol.x[:n_states])),
+                                improver=improver, candidate_risks=target)
 
 
 def verify_epsilon_bayes(problem: FiniteProblem, procedure: Procedure,
@@ -158,8 +165,8 @@ def max_uniform_improvement(problem: FiniteProblem,
     admissible exactly when it is 0.  By LP duality it is minus the
     prior-game value, and the game's improver is such a D.
     """
-    game = synthesize_prior(problem, procedure)
-    return -game.value, game.improver
+    verdict = synthesize_prior(problem, procedure)
+    return verdict.epsilon_star, verdict.improver
 
 
 def check_admissible(problem: FiniteProblem, procedure: Procedure) -> AdmissibilityVerdict:
@@ -172,12 +179,7 @@ def check_admissible(problem: FiniteProblem, procedure: Procedure) -> Admissibil
     every state and with total slack S* > 0, dominates it and is the
     witness.
     """
-    game = synthesize_prior(problem, procedure)
-    epsilon_star = -game.value
-    admissible = epsilon_star == 0 and game.total_slack == 0
-    return AdmissibilityVerdict(admissible=admissible, extended_admissible=epsilon_star == 0,
-                                epsilon_star=epsilon_star, game=game,
-                                witness=None if admissible else game.improver)
+    return synthesize_prior(problem, procedure)
 
 
 def classify(problem: FiniteProblem, procedure: Procedure) -> AdmissibilityVerdict:
@@ -188,33 +190,20 @@ def classify(problem: FiniteProblem, procedure: Procedure) -> AdmissibilityVerdi
     state (so epsilon* is attained), its slacks sum to S*, the eta part
     of the game value, and the candidate is epsilon*-Bayes under the
     witness prior by the separable minimum (so no rule improves by more).
-    The verdict must be admissible exactly when epsilon* = 0 and S* = 0,
-    and an inadmissible verdict's witness must improve by epsilon*
-    everywhere and be strictly better somewhere.
+    These checks cover the witness too: an inadmissible verdict's witness
+    is the improver, which is better everywhere when epsilon* > 0, and
+    has slacks summing to S* > 0 when epsilon* = 0.
     """
     verdict = check_admissible(problem, procedure)
-    game = verdict.game
     epsilon_star = verdict.epsilon_star
-    risks = game.candidate_risks
-    improved = risk_vector(problem, game.improver)
-    slacks = [r - epsilon_star - d for d, r in zip(improved, risks)]
+    slacks = [r - epsilon_star - d for d, r in
+              zip(risk_vector(problem, verdict.improver), verdict.candidate_risks)]
     if any(s < 0 for s in slacks):
         raise CertificateError(f"improver does not improve uniformly by eps*={epsilon_star}")
     total_slack = sum(slacks)
-    if total_slack != game.total_slack:
+    if total_slack != verdict.total_slack:
         raise CertificateError(f"improver's total slack {total_slack} is not "
-                               f"S*={game.total_slack}")
-    if not verify_epsilon_bayes(problem, procedure, game.witness_prior, game.slack):
+                               f"S*={verdict.total_slack}")
+    if not verify_epsilon_bayes(problem, procedure, verdict.witness_prior, epsilon_star):
         raise CertificateError("witness prior fails epsilon-Bayes verification")
-    if (verdict.admissible != (epsilon_star == 0 and game.total_slack == 0)
-            or verdict.extended_admissible != (epsilon_star == 0)):
-        raise CertificateError(f"verdict contradicts eps*={epsilon_star}, "
-                               f"S*={game.total_slack}")
-    if not verdict.admissible:
-        beaten = (improved if verdict.witness is game.improver
-                  else risk_vector(problem, verdict.witness))
-        if (any(w > r - epsilon_star for w, r in zip(beaten, risks))
-                or not any(w < r for w, r in zip(beaten, risks))):
-            raise CertificateError("witness does not dominate the candidate")
     return verdict
-

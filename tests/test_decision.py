@@ -180,6 +180,15 @@ def test_support_mismatch():
         bayes_risk(fp1(), rule(F(1, 2)), Prior(weights=(F(1),), support=(7,)))
     with pytest.raises(SupportMismatch):
         bayes_risk(fp1(), rule(F(1, 2)), Prior(weights=(F(1),)))
+    # bool is an int, but True is not state 1
+    with pytest.raises(SupportMismatch, match="True"):
+        bayes_risk(fp1(), rule(F(1, 2)), Prior(weights=(F(1),), support=(True,)))
+
+
+@pytest.mark.parametrize("weights", [(True, False), (F(1, 2), "1/2")], ids=["bool", "str"])
+def test_prior_weights_must_be_exact(weights):
+    with pytest.raises(WeightError, match="is not an int, a Fraction"):
+        Prior(weights)
 
 
 # ----------------------------------------------------------------------
@@ -269,6 +278,15 @@ def test_nonrandomized_fixed_point():
 def test_no_embedding():
     with pytest.raises(NoEmbedding):
         derandomize(fp1(), rule(F(1, 2)))
+
+
+def test_repeated_embedded_value_is_no_embedding():
+    # the build accepts two actions at one value; the convexity test has no
+    # difference quotient between them
+    problem = FiniteProblem.build(["t"], ["x"], [("a", 1), ("b", 1), ("c", 2)],
+                                  model=[[1]], loss=[[0, 1, 2]])
+    with pytest.raises(NoEmbedding, match="share the embedded value 1"):
+        loss_convex_along_embedding(problem)
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,7 @@ PUBLIC = {
               "check_certificate", "solve_lp"),
     "decision": ("FiniteProblem", "Prior", "Procedure", "bayes_risk", "convex_combine",
                  "derandomize", "risk", "risk_vector"),
-    "priors": ("AdmissibilityVerdict", "GameAnalysis", "check_admissible", "classify",
+    "priors": ("AdmissibilityVerdict", "check_admissible", "classify",
                "max_uniform_improvement", "minimal_bayes_risk", "synthesize_prior",
                "verify_epsilon_bayes"),
     "admissibility": ("DominationQuery", "check_domination", "check_lc_domination",
@@ -93,7 +93,7 @@ def test_every_public_name_is_its_submodules_object():
 
 def test_all_lists_exactly_the_public_names():
     public = [name for names in PUBLIC.values() for name in names]
-    assert len(public) == 51
+    assert len(public) == 50
     assert sorted(lcbayes.__all__) == sorted(public)
     namespace = {}
     exec("from lcbayes import *", namespace)

@@ -7,8 +7,8 @@ import pytest
 
 import lcbayes.priors
 
-from lcbayes.decision import (FiniteProblem, Prior, Procedure, SupportMismatch, bayes_risk,
-                              risk_vector)
+from lcbayes.decision import (FiniteProblem, Prior, Procedure, SupportMismatch, WeightError,
+                              bayes_risk, risk_vector)
 from lcbayes.lcnum import LCNumber, NotNearStandard, eps, st
 from lcbayes.ratlp import CertificateError
 from lcbayes.priors import (classify, max_uniform_improvement, minimal_bayes_risk,
@@ -51,30 +51,37 @@ def grid_game_value(problem, procedure, steps=100):
 
 def test_symmetric_rule_is_exactly_bayes():
     game = synthesize_prior(fp1(), rule(F(1, 2)))
-    assert game.value == 0
+    assert game.epsilon_star == 0
     assert game.witness_prior.weights == (F(1, 2), F(1, 2))
-    assert game.slack == 0
-    assert not game.prior_possibly_nonunique
     # brute force over the 101-point prior grid agrees
     assert grid_game_value(fp1(), rule(F(1, 2))) == 0
 
 
 def test_dominated_rule_has_negative_value():
     game = synthesize_prior(fp2(), Procedure.nonrandomized([1]))
-    assert game.value == -1
-    assert game.slack == 1
-    assert game.prior_possibly_nonunique
+    assert game.epsilon_star == 1
     assert verify_epsilon_bayes(fp2(), Procedure.nonrandomized([1]),
-                                game.witness_prior, game.slack)
+                                game.witness_prior, game.epsilon_star)
 
 
 def test_boundary_rule_supported_by_axis_prior():
     game = synthesize_prior(fp1(), rule(F(0)))  # risks (1, 0)
-    assert game.value == 0
+    assert game.epsilon_star == 0
     assert verify_epsilon_bayes(fp1(), rule(F(0)), game.witness_prior, F(0))
     # the returned prior puts no mass where the candidate is beaten
     assert bayes_risk(fp1(), rule(F(0)), game.witness_prior) == \
         minimal_bayes_risk(fp1(), game.witness_prior)
+
+
+def test_exact_tie_needs_exact_weights():
+    # risks (1, 1, 0) and (0, 0, 3/7) tie under (1/10, 2/10, 7/10); in floats
+    # 0.1 + 0.2 > 0.7 * 3/7 would break the tie, so float weights are refused
+    problem = FiniteProblem.build(["t1", "t2", "t3"], ["x"], ["a1", "a2"], model=[[1]] * 3,
+                                  loss=[[1, 0], [1, 0], [0, F(3, 7)]])
+    prior = Prior((F(1, 10), F(2, 10), F(7, 10)))
+    assert verify_epsilon_bayes(problem, Procedure.nonrandomized([0]), prior, F(0))
+    with pytest.raises(WeightError):
+        Prior((0.1, 0.2, 0.7))
 
 
 def test_inner_best_responses_minimize():
@@ -91,7 +98,8 @@ def test_duality_identity_against_uniform_improvement():
                                (fp2(), Procedure.nonrandomized([0]))]:
         estar, _ = max_uniform_improvement(problem, procedure)
         game = synthesize_prior(problem, procedure)
-        assert game.value + estar == 0
+        assert game.epsilon_star == estar
+        assert grid_game_value(problem, procedure) == -estar
 
 
 # ----------------------------------------------------------------------
@@ -138,17 +146,15 @@ def test_levi_civita_point_prior_bayes():
 def test_classify_symmetric_rule():
     report = classify(fp1(), rule(F(1, 2)))
     assert report.admissible and report.extended_admissible
-    assert report.epsilon_star == 0 and report.game.value == 0
-    assert report.game.slack == 0
+    assert report.epsilon_star == 0 and report.total_slack == 0
     assert report.witness is None
 
 
 def test_classify_dominated_rule():
     report = classify(fp2(), Procedure.nonrandomized([1]))
     assert not report.admissible and not report.extended_admissible
-    assert report.epsilon_star == 1 and report.game.value == -1
-    assert report.game.slack == 1
-    assert report.witness is not None
+    assert report.epsilon_star == 1
+    assert report.witness is report.improver
 
 
 def test_classify_single_action():
@@ -166,7 +172,8 @@ def flat():
 
 def test_game_reports_total_slack():
     game = synthesize_prior(flat(), Procedure.nonrandomized([1]))
-    assert (game.value, game.total_slack) == (0, 1)
+    assert (game.epsilon_star, game.total_slack) == (0, 1)
+    assert game.extended_admissible and not game.admissible
     # the improver is always-a1, the prior st(pi) puts all mass on t1
     assert game.improver.matrix(2) == ((1, 0),)
     assert game.witness_prior.weights == (1, 0)
@@ -190,32 +197,24 @@ def corrupting(monkeypatch, corrupt):
      lambda v: dataclasses.replace(v, epsilon_star=F(2)), "does not improve uniformly"),
     # S* = 1 read as 2, and as 0
     (flat, Procedure.nonrandomized([1]),
-     lambda v: dataclasses.replace(v, game=dataclasses.replace(v.game, total_slack=F(2))),
-     "total slack 1 is not S"),
+     lambda v: dataclasses.replace(v, total_slack=F(2)), "total slack 1 is not S"),
     (flat, Procedure.nonrandomized([1]),
-     lambda v: dataclasses.replace(v, game=dataclasses.replace(v.game, total_slack=F(0))),
-     "total slack 1 is not S"),
-    # the witness's one entry set to the candidate's action: no state is better
+     lambda v: dataclasses.replace(v, total_slack=F(0)), "total slack 1 is not S"),
+    # the improver replaced by the candidate itself: at epsilon* = 0 its
+    # slacks sum to 0, not S* = 1; at epsilon* = 1 it improves nowhere
     (flat, Procedure.nonrandomized([1]),
-     lambda v: dataclasses.replace(v, witness=Procedure.randomized([[0, 1]])),
-     "witness does not dominate"),
-    # the admissible flag flipped, both ways
-    (flat, Procedure.nonrandomized([1]),
-     lambda v: dataclasses.replace(v, admissible=True, witness=None), "verdict contradicts"),
-    (fp1, rule(F(1, 2)),
-     lambda v: dataclasses.replace(v, admissible=False, witness=v.game.improver),
-     "verdict contradicts"),
-    # the extended-admissible flag flipped
+     lambda v: dataclasses.replace(v, improver=Procedure.randomized([[0, 1]])),
+     "total slack 0 is not S"),
     (fp2, Procedure.nonrandomized([1]),
-     lambda v: dataclasses.replace(v, extended_admissible=True), "verdict contradicts"),
+     lambda v: dataclasses.replace(v, improver=Procedure.randomized([[0, 1]])),
+     "does not improve uniformly"),
     # the witness prior (1/2, 1/2) moved to t1, where always-a1 beats the
     # candidate's Bayes risk 1/2 by 1/2 > eps* = 0
     (fp1, rule(F(1, 2)),
-     lambda v: dataclasses.replace(v, game=dataclasses.replace(
-         v.game, witness_prior=Prior.point(0, 2))),
+     lambda v: dataclasses.replace(v, witness_prior=Prior.point(0, 2)),
      "witness prior fails epsilon-Bayes verification"),
-], ids=["eps-low", "eps-high", "slack-high", "slack-zero", "witness-entry",
-        "admissible-true", "admissible-false", "extended-true", "prior-weight"])
+], ids=["eps-low", "eps-high", "slack-high", "slack-zero", "improver-flat",
+        "improver-fp2", "prior-weight"])
 def test_classify_rejects_corrupted_verdict(monkeypatch, problem, candidate, corrupt,
                                             message):
     # one problem for both calls: its score table, built by the first,
