@@ -14,10 +14,10 @@ are never enumerated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple, Union
 
+from ._record import Record
 from .decision import FiniteProblem, Procedure, ShapeMismatch, risk_vector
 from .lcnum import LCNumber, approx_eq
 # both readers are re-exported here, where tests and the benchmark's
@@ -27,8 +27,7 @@ from .priors import check_admissible, max_uniform_improvement
 ALL_RANDOMIZED = "all-randomized"
 
 
-@dataclass(frozen=True)
-class DominationQuery:
+class DominationQuery(Record):
     problem: FiniteProblem
     candidate: Procedure
     epsilon: Fraction = Fraction(0)

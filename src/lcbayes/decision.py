@@ -16,10 +16,11 @@ Levi-Civita weights give a Levi-Civita number, because
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence, Tuple, Union
+
+from ._record import Record
 
 Rational = Union[int, Fraction]
 
@@ -110,8 +111,7 @@ def _label(value, what: str) -> str:
     return value
 
 
-@dataclass(frozen=True)
-class FiniteProblem:
+class FiniteProblem(Record):
     state_labels: Tuple[str, ...]
     observation_labels: Tuple[str, ...]
     action_labels: Tuple[str, ...]
@@ -206,8 +206,7 @@ class FiniteProblem:
         return len(self.action_labels)
 
 
-@dataclass(frozen=True)
-class Procedure:
+class Procedure(Record):
     """A decision rule; randomized rows are exactly row-stochastic."""
 
     kind: str  # "randomized" | "nonrandomized"
@@ -256,8 +255,7 @@ class Procedure:
         return len(self.action_map)
 
 
-@dataclass(frozen=True)
-class Prior:
+class Prior(Record):
     """Probability weights over a finite support.
 
     ``support`` defaults to the state indices 0..k-1 of a finite problem.

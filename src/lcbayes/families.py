@@ -26,11 +26,11 @@ infinitely-larger test used for prior regularity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import Optional, Sequence, Tuple, Union
 
+from ._record import Record
 from .decision import Prior, SupportMismatch
 from .lcnum import LCNumber, eps, much_greater, st
 
@@ -121,8 +121,7 @@ def _norm_upper_bound(center: Sequence[Fraction]) -> Fraction:
 Probe = Tuple[Tuple[Fraction, ...], Fraction]  # (center coords, radius)
 
 
-@dataclass(frozen=True)
-class RegularityVerdict:
+class RegularityVerdict(Record):
     verdict: str
     witness: Optional[Probe] = None
     interval: Optional[Tuple[LCNumber, LCNumber]] = None
@@ -181,8 +180,7 @@ def ball_mass(prior: Prior, center: Sequence[Fraction], radius: Fraction) -> Sca
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GaussianPrior:
+class GaussianPrior(Record):
     """Centered isotropic Gaussian prior with (possibly infinite) scale."""
 
     scale: LCNumber
@@ -269,8 +267,7 @@ DIM2_DISCREPANCY_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class NormalLocationReport:
+class NormalLocationReport(Record):
     dim: int
     order: int
     scale: LCNumber
@@ -431,8 +428,7 @@ def pushdown_risk_consistency(family, procedure_params, prior: Prior):
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BlythCertificate:
+class BlythCertificate(Record):
     """Admissibility certificate scoped to explicit challengers and probes.
 
     ``certified`` means: the candidate's Bayes risk under the supplied
@@ -510,8 +506,7 @@ def blyth_certificate(family, params, prior_spec, epsilon: LCNumber,
 PRIOR_GRID_SIZE = 10
 
 
-@dataclass(frozen=True)
-class NonBayesEntry:
+class NonBayesEntry(Record):
     prior_label: str
     optimal_rule: Tuple[Fraction, Fraction]
     optimal_bayes_risk: Fraction
@@ -519,8 +514,7 @@ class NonBayesEntry:
     excess: Fraction
 
 
-@dataclass(frozen=True)
-class BernoulliBoundaryReport:
+class BernoulliBoundaryReport(Record):
     order: int
     lc_point: LCNumber
     lc_bayes_risk: LCNumber          # candidate (0,0) under the point prior at eps

@@ -33,16 +33,15 @@ re-checks it against the problem data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
+from ._record import Record
 from .decision import FiniteProblem, Prior, Procedure, bayes_risk, risk_vector
 from .ratlp import EQ, LEQ, CertificateError, LPProblem, LPStatus, solve_lp
 
 
-@dataclass(frozen=True)
-class AdmissibilityVerdict:
+class AdmissibilityVerdict(Record):
     """What the floored prior game returns for one candidate procedure.
 
     The game value -(epsilon* + eta S*) settles every verdict: the
@@ -185,16 +184,20 @@ def check_admissible(problem: FiniteProblem, procedure: Procedure) -> Admissibil
 def classify(problem: FiniteProblem, procedure: Procedure) -> AdmissibilityVerdict:
     """:func:`check_admissible`'s verdict, checked against the problem data.
 
-    The verdict comes from one LP, so it is checked here: the improver's
-    recomputed risk is at most r(theta, candidate) - epsilon* at every
-    state (so epsilon* is attained), its slacks sum to S*, the eta part
-    of the game value, and the candidate is epsilon*-Bayes under the
-    witness prior by the separable minimum (so no rule improves by more).
+    The verdict comes from one LP, so it is checked here: its payoff data
+    r(theta, candidate) are the candidate's recomputed risks, the
+    improver's recomputed risk is at most r(theta, candidate) - epsilon*
+    at every state (so epsilon* is attained), its slacks sum to S*, the
+    eta part of the game value, and the candidate is epsilon*-Bayes under
+    the witness prior by the separable minimum (so no rule improves by
+    more).
     These checks cover the witness too: an inadmissible verdict's witness
     is the improver, which is better everywhere when epsilon* > 0, and
     has slacks summing to S* > 0 when epsilon* = 0.
     """
     verdict = check_admissible(problem, procedure)
+    if verdict.candidate_risks != risk_vector(problem, procedure):
+        raise CertificateError("the verdict's candidate risks are not the candidate's")
     epsilon_star = verdict.epsilon_star
     slacks = [r - epsilon_star - d for d, r in
               zip(risk_vector(problem, verdict.improver), verdict.candidate_risks)]

@@ -39,9 +39,10 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple, Union
+
+from ._record import Record
 
 Rational = Union[int, Fraction]
 
@@ -73,8 +74,7 @@ def _frac(value: Rational) -> Fraction:
     raise MalformedProblem(f"expected exact rational, got {type(value).__name__}")
 
 
-@dataclass(frozen=True)
-class LPProblem:
+class LPProblem(Record):
     """maximize objective @ x subject to rows, relations, rhs and bounds.
 
     ``lower[j]`` is 0 or None (unbounded below); ``upper[j]`` is a finite
@@ -163,8 +163,7 @@ class LPProblem:
         )
 
 
-@dataclass(frozen=True)
-class LPSolution:
+class LPSolution(Record):
     """A solve's certificate.  A point or value v with a ``*_eta`` field
     stands for v + eta * v_eta; duals, multipliers and rays are rational."""
 

@@ -1,6 +1,5 @@
 """Risk, Bayes risk, mixtures and derandomization on finite problems."""
 
-import dataclasses
 import importlib
 import random
 import sys
@@ -122,11 +121,11 @@ def test_score_table_matches_reference_on_benchmark_problems(monkeypatch, sizes)
             scores, argmins = minimal_posterior_scores(problem, Prior(tuple(weights)))
             assert (scores, argmins) == reference_posterior_minima(model, loss, weights)
         # the table is no field: a copy without one still equals the original
-        same = dataclasses.replace(problem)
+        same = problem.replace()
         assert same == problem and hash(same) == hash(problem)
         # a problem derived from this one after its table exists gets a table of its own
         new_loss = tuple(tuple(v + s for v in row) for s, row in enumerate(problem.loss))
-        derived = dataclasses.replace(problem, loss=new_loss)
+        derived = problem.replace(loss=new_loss)
         for procedure in rules:
             assert risk_vector(derived, procedure) == \
                 reference_risks(model, new_loss, procedure.matrix(n_act))

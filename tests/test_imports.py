@@ -34,6 +34,10 @@ PUBLIC = {
                  "normal_location_report", "pushdown", "pushdown_risk_consistency"),
 }
 
+# the standard library's generated records, and what they pull in; the
+# package's records (lcbayes._record) need neither
+RECORD_MACHINERY = {"dataclasses", "inspect"}
+
 
 def modules_loaded_by(statements: str) -> set:
     """The modules a fresh interpreter imports to run ``statements``,
@@ -59,10 +63,12 @@ def test_lc_eval_loads_only_lcnum():
     loaded = modules_loaded_by('from lcbayes.cli import main\nmain(["lc", "eval", "1/(1+eps)"])')
     assert {name for name in loaded if name.startswith("lcbayes")} == {
         "lcbayes", "lcbayes.cli", "lcbayes.lcnum"}
-    assert "dataclasses" not in loaded
+    assert not RECORD_MACHINERY & loaded
 
 
-def test_finite_classify_loads_no_families_or_admissibility(tmp_path):
+@pytest.fixture
+def finite_argv(tmp_path):
+    """The problem and procedure arguments of a small ``finite`` command."""
     problem = tmp_path / "problem.json"
     problem.write_text(json.dumps({
         "states": [{"label": "t1"}, {"label": "t2"}], "observations": ["x"],
@@ -70,10 +76,22 @@ def test_finite_classify_loads_no_families_or_admissibility(tmp_path):
         "model": [[1], [1]], "loss": [[0, 1], [1, 0]]}))
     procedures = tmp_path / "procs.json"
     procedures.write_text(json.dumps([{"kind": "nonrandomized", "map": [0]}]))
-    argv = ["finite", "classify", str(problem), "--procedures", str(procedures)]
+    return [str(problem), "--procedures", str(procedures)]
+
+
+def test_finite_classify_loads_no_families_or_admissibility(finite_argv):
+    argv = ["finite", "classify", *finite_argv]
     loaded = modules_loaded_by(f"from lcbayes.cli import main\nassert main({argv!r}) == 0")
     assert {"lcbayes.decision", "lcbayes.priors", "lcbayes.ratlp"} <= loaded
     assert not {"lcbayes.families", "lcbayes.admissibility"} & loaded
+    assert not RECORD_MACHINERY & loaded
+
+
+def test_finite_synthesize_prior_loads_no_record_machinery(finite_argv):
+    argv = ["finite", "synthesize-prior", *finite_argv, "--procedure", "0"]
+    loaded = modules_loaded_by(f"from lcbayes.cli import main\nassert main({argv!r}) == 0")
+    assert "lcbayes.priors" in loaded
+    assert not RECORD_MACHINERY & loaded
 
 
 @pytest.mark.parametrize("example", ["normal-location", "bernoulli-boundary"])
@@ -82,6 +100,7 @@ def test_example_loads_no_prior_game_or_solver(example):
                                f"assert main(['example', {example!r}, '--order', '4']) == 0")
     assert {"lcbayes.families", "lcbayes.decision"} <= loaded
     assert not {"lcbayes.priors", "lcbayes.ratlp"} & loaded
+    assert not RECORD_MACHINERY & loaded
 
 
 def test_every_public_name_is_its_submodules_object():

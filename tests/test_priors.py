@@ -1,6 +1,5 @@
 """Prior synthesis, epsilon-Bayes verification, and pushdown tests."""
 
-import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -191,30 +190,37 @@ def corrupting(monkeypatch, corrupt):
 @pytest.mark.parametrize("problem, candidate, corrupt, message", [
     # epsilon* = 1 read as 0: the improver's slacks sum to 2, not S* = 0
     (fp2, Procedure.nonrandomized([1]),
-     lambda v: dataclasses.replace(v, epsilon_star=F(0)), "total slack 2 is not S"),
+     lambda v: v.replace(epsilon_star=F(0)), "total slack 2 is not S"),
     # epsilon* = 1 read as 2: no state improves by 2
     (fp2, Procedure.nonrandomized([1]),
-     lambda v: dataclasses.replace(v, epsilon_star=F(2)), "does not improve uniformly"),
+     lambda v: v.replace(epsilon_star=F(2)), "does not improve uniformly"),
     # S* = 1 read as 2, and as 0
     (flat, Procedure.nonrandomized([1]),
-     lambda v: dataclasses.replace(v, total_slack=F(2)), "total slack 1 is not S"),
+     lambda v: v.replace(total_slack=F(2)), "total slack 1 is not S"),
     (flat, Procedure.nonrandomized([1]),
-     lambda v: dataclasses.replace(v, total_slack=F(0)), "total slack 1 is not S"),
+     lambda v: v.replace(total_slack=F(0)), "total slack 1 is not S"),
     # the improver replaced by the candidate itself: at epsilon* = 0 its
     # slacks sum to 0, not S* = 1; at epsilon* = 1 it improves nowhere
     (flat, Procedure.nonrandomized([1]),
-     lambda v: dataclasses.replace(v, improver=Procedure.randomized([[0, 1]])),
+     lambda v: v.replace(improver=Procedure.randomized([[0, 1]])),
      "total slack 0 is not S"),
     (fp2, Procedure.nonrandomized([1]),
-     lambda v: dataclasses.replace(v, improver=Procedure.randomized([[0, 1]])),
+     lambda v: v.replace(improver=Procedure.randomized([[0, 1]])),
      "does not improve uniformly"),
     # the witness prior (1/2, 1/2) moved to t1, where always-a1 beats the
     # candidate's Bayes risk 1/2 by 1/2 > eps* = 0
     (fp1, rule(F(1, 2)),
-     lambda v: dataclasses.replace(v, witness_prior=Prior.point(0, 2)),
+     lambda v: v.replace(witness_prior=Prior.point(0, 2)),
      "witness prior fails epsilon-Bayes verification"),
+    # the candidate's risks (0, 1) read reversed: the slacks (1, 0) of the
+    # improver always-a1 still sum to S* = 1, and verify_epsilon_bayes
+    # recomputes the candidate's Bayes risk, so only a fresh risk vector
+    # shows the corruption
+    (flat, Procedure.nonrandomized([1]),
+     lambda v: v.replace(candidate_risks=v.candidate_risks[::-1]),
+     "candidate risks are not the candidate's"),
 ], ids=["eps-low", "eps-high", "slack-high", "slack-zero", "improver-flat",
-        "improver-fp2", "prior-weight"])
+        "improver-fp2", "prior-weight", "candidate-risks"])
 def test_classify_rejects_corrupted_verdict(monkeypatch, problem, candidate, corrupt,
                                             message):
     # one problem for both calls: its score table, built by the first,

@@ -1,6 +1,5 @@
 """Exact LP solver and certificate checker tests."""
 
-import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -112,10 +111,10 @@ def test_dimension_mismatch():
 def test_checker_rejects_tampered_solution():
     p = LPProblem.build([1], [[1]], ["<="], [3])
     good = solve_lp(p)
-    bad = dataclasses.replace(good, x=(F(4),), objective_value=F(4))
+    bad = good.replace(x=(F(4),), objective_value=F(4))
     with pytest.raises(CertificateError, match="row 0 violated"):
         check_certificate(p, bad)
-    bad_gap = dataclasses.replace(good, row_duals=(F(2),))
+    bad_gap = good.replace(row_duals=(F(2),))
     with pytest.raises(CertificateError, match="duality gap nonzero"):
         check_certificate(p, bad_gap)
 
@@ -184,7 +183,7 @@ def test_checker_rejects_wrong_eta_parts():
     }
     for message, fields in cases.items():
         with pytest.raises(CertificateError, match=message):
-            check_certificate(p, dataclasses.replace(good, **fields))
+            check_certificate(p, good.replace(**fields))
 
 
 def test_checker_rejects_wrong_eta_part_of_ray_origin():
@@ -194,9 +193,9 @@ def test_checker_rejects_wrong_eta_part_of_ray_origin():
     assert good.status is LPStatus.UNBOUNDED
     assert (good.ray_origin, good.ray_origin_eta) == ((F(0),), (F(1),))
     with pytest.raises(CertificateError, match="row 0 violated"):
-        check_certificate(p, dataclasses.replace(good, ray_origin_eta=(F(0),)))
+        check_certificate(p, good.replace(ray_origin_eta=(F(0),)))
     with pytest.raises(CertificateError, match="below lower bound"):
-        check_certificate(p, dataclasses.replace(good, ray_origin_eta=(F(-1),)))
+        check_certificate(p, good.replace(ray_origin_eta=(F(-1),)))
 
 
 def test_randomized_instances_all_certified():

@@ -18,7 +18,6 @@ point is exactly x + eta * x_eta.  The rational eta lives in this test
 only: in the solver it would be wrong above that threshold.
 """
 
-import dataclasses
 import random
 from fractions import Fraction
 from fractions import Fraction as F
@@ -334,7 +333,7 @@ def assert_same_solution(problem: LPProblem, events: Optional[set] = None):
     want = reference_solve(problem, events)
     for name, base in _ETA_FIELDS.items():
         want[name] = _zero_like(want[base])
-    fields = {f.name: getattr(got, f.name) for f in dataclasses.fields(got)}
+    fields = {name: getattr(got, name) for name in got._fields}
     assert fields == want
     assert repr(fields) == repr(want)  # same types too, not just equal values
     return got
@@ -351,8 +350,8 @@ def assert_eta_solution_matches(problem: LPProblem, events: Optional[set] = None
     """
     got = solve_lp(problem)
     rhs = [b + REFERENCE_ETA * e for b, e in zip(problem.rhs, problem.rhs_eta)]
-    want = reference_solve(dataclasses.replace(problem, rhs=tuple(rhs),
-                                               rhs_eta=(F(0),) * len(rhs)), events)
+    want = reference_solve(problem.replace(rhs=tuple(rhs), rhs_eta=(F(0),) * len(rhs)),
+                           events)
     for name in ("status", "row_duals", "bound_duals", "farkas_rows", "farkas_bounds",
                  "ray"):
         assert getattr(got, name) == want[name], name
