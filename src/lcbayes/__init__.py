@@ -4,8 +4,8 @@ Subpackages by capability:
 
 * :mod:`lcbayes.lcnum` - truncated Levi-Civita field: exact arithmetic
   with infinitesimals, standard parts, and the infinitely-larger order.
-* :mod:`lcbayes.ratlp` - exact-rational simplex with verified optimality,
-  infeasibility, and unboundedness certificates.
+* :mod:`lcbayes.ratlp` - exact-rational simplex for the prior game's LP
+  shape, every optimum verified by an independent checker.
 * :mod:`lcbayes.decision` - finite decision problems, randomized rules,
   exact risk and Bayes risk, mixtures and derandomization; the one prior
   type, with rational or Levi-Civita weights on states or on parameter
@@ -34,8 +34,8 @@ _EXPORTS = {
     "lcnum": ("DEFAULT_ORDER", "LCNumber", "LCParseError", "NotNearStandard",
               "approx_eq", "compare", "eps", "evaluate", "leq_approx",
               "much_greater", "parse", "refute_much_greater", "st"),
-    "ratlp": ("CertificateError", "LPProblem", "LPSolution", "LPStatus",
-              "MalformedProblem", "check_certificate", "solve_lp"),
+    "ratlp": ("CertificateError", "LPProblem", "LPSolution", "MalformedProblem",
+              "check_certificate", "solve_lp"),
     "decision": ("FiniteProblem", "Prior", "Procedure", "bayes_risk",
                  "convex_combine", "derandomize", "risk", "risk_vector"),
     "priors": ("AdmissibilityVerdict", "check_admissible", "classify",

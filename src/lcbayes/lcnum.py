@@ -465,13 +465,14 @@ def st(a: Union[LCNumber, Rational]) -> Fraction:
     return a.standard_part() if isinstance(a, LCNumber) else Fraction(a)
 
 
-def approx_eq(a: LCNumber, b) -> bool:
-    """True iff a - b is infinitesimal or zero (the monadic relation)."""
-    diff = a - b if isinstance(b, LCNumber) else a - LCNumber(b, a.order)
-    return diff.is_infinitesimal()
+def approx_eq(a: Union[LCNumber, Rational], b) -> bool:
+    """True iff a - b is infinitesimal or zero (the monadic relation);
+    either side may be rational."""
+    diff = a - b
+    return (diff if isinstance(diff, LCNumber) else LCNumber(diff)).is_infinitesimal()
 
 
-def leq_approx(a: LCNumber, b) -> bool:
+def leq_approx(a: Union[LCNumber, Rational], b) -> bool:
     """True iff a <= b or a is within an infinitesimal of b."""
     return a <= b or approx_eq(a, b)
 

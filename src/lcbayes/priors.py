@@ -34,11 +34,11 @@ re-checks it against the problem data.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 from ._record import Record
-from .decision import FiniteProblem, Prior, Procedure, bayes_risk, risk_vector
-from .ratlp import EQ, LEQ, CertificateError, LPProblem, LPStatus, solve_lp
+from .decision import FiniteProblem, Prior, Procedure, ShapeMismatch, risk_vector
+from .ratlp import EQ, LEQ, CertificateError, LPProblem, solve_lp
 
 
 class AdmissibilityVerdict(Record):
@@ -134,7 +134,6 @@ def synthesize_prior(problem: FiniteProblem, procedure: Procedure) -> Admissibil
     lower: list[Optional[Fraction]] = [Fraction(0)] * n_states + [None] * n_obs
     lp = LPProblem.build(objective, rows, relations, rhs, lower=lower, rhs_eta=rhs_eta)
     sol = solve_lp(lp)
-    assert sol.status is LPStatus.OPTIMAL
     # the duals of the (x, a) rows, after the sum-to-1 row, are D's delta(x, a)
     improver = Procedure("randomized", matrix_rows=tuple(
         tuple(sol.row_duals[1 + x * n_act:1 + (x + 1) * n_act]) for x in range(n_obs)))
@@ -144,14 +143,19 @@ def synthesize_prior(problem: FiniteProblem, procedure: Procedure) -> Admissibil
                                 improver=improver, candidate_risks=target)
 
 
-def verify_epsilon_bayes(problem: FiniteProblem, procedure: Procedure,
+def verify_epsilon_bayes(problem: FiniteProblem, risks: Sequence[Fraction],
                          prior: Prior, epsilon) -> bool:
-    """Is the procedure within epsilon of the minimal Bayes risk under the prior?
+    """Is a procedure with risk vector ``risks`` (see
+    :func:`lcbayes.decision.risk_vector`) within epsilon of the minimal
+    Bayes risk under the prior?
 
     Exact in the prior's scalar field; the inner minimum over all
     randomized procedures separates over observations.
     """
-    return bayes_risk(problem, procedure, prior) <= minimal_bayes_risk(problem, prior) + epsilon
+    if len(risks) != problem.n_states:
+        raise ShapeMismatch("need one risk per state")
+    bayes = sum(w * risks[idx] for idx, w in prior.items(problem.n_states))
+    return bayes <= minimal_bayes_risk(problem, prior) + epsilon
 
 
 def max_uniform_improvement(problem: FiniteProblem,
@@ -207,6 +211,7 @@ def classify(problem: FiniteProblem, procedure: Procedure) -> AdmissibilityVerdi
     if total_slack != verdict.total_slack:
         raise CertificateError(f"improver's total slack {total_slack} is not "
                                f"S*={verdict.total_slack}")
-    if not verify_epsilon_bayes(problem, procedure, verdict.witness_prior, epsilon_star):
+    if not verify_epsilon_bayes(problem, verdict.candidate_risks, verdict.witness_prior,
+                                epsilon_star):
         raise CertificateError("witness prior fails epsilon-Bayes verification")
     return verdict

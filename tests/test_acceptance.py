@@ -27,7 +27,7 @@ from fractions import Fraction as F
 from lcbayes.admissibility import max_uniform_improvement
 from lcbayes.cli import main
 from lcbayes.decision import (FiniteProblem, Prior, Procedure, derandomize,
-                              loss_convex_along_embedding, risk)
+                              loss_convex_along_embedding, risk, risk_vector)
 from lcbayes.families import (NOT_REGULAR, REGULAR, BernoulliBoundary,
                               NormalLocationLinear, bernoulli_boundary_report,
                               normal_location_report, pushdown_risk_consistency)
@@ -240,7 +240,7 @@ def test_criterion_4_duality_identity():
             epsilon_star, _ = max_uniform_improvement(problem, procedure)
             game = synthesize_prior(problem, procedure)
             assert game.epsilon_star == epsilon_star >= 0
-            assert verify_epsilon_bayes(problem, procedure,
+            assert verify_epsilon_bayes(problem, risk_vector(problem, procedure),
                                         game.witness_prior, game.epsilon_star)
     except AssertionError:
         ok = False

@@ -251,6 +251,13 @@ def test_lc_domination_untagged_witness_ignored():
                                clause_two_mode="all")
 
 
+def test_lc_domination_rational_risks():
+    # plain rationals in place of Levi-Civita risks: clause 2 compares
+    # 1 with 1/2 without lifting either side
+    assert check_lc_domination([F(1), F(1)], [F(1), F(1, 2)], 0)
+    assert not check_lc_domination([F(1), F(1)], [F(1), F(1)], 0)
+
+
 def test_lc_agrees_with_rational_domination():
     # lifting rational risks to the larger field preserves the verdict
     problem = fp2()

@@ -220,6 +220,13 @@ def test_leq_approx():
     assert not leq_approx(LCNumber(2), ONE)
 
 
+def test_approx_relations_accept_a_rational_first_argument():
+    assert approx_eq(F(1), ONE + E) and approx_eq(1, F(1))
+    assert not approx_eq(F(1, 2), ONE + E) and not approx_eq(F(1), F(1, 2))
+    assert leq_approx(F(1), ONE - E) and leq_approx(2, ONE * 2 + E)
+    assert not leq_approx(F(2), ONE)
+
+
 # ----------------------------------------------------------------------
 # the infinitely-larger relation and its witnesses
 # ----------------------------------------------------------------------

@@ -6,8 +6,8 @@ import pytest
 
 import lcbayes.priors
 
-from lcbayes.decision import (FiniteProblem, Prior, Procedure, SupportMismatch, WeightError,
-                              bayes_risk, risk_vector)
+from lcbayes.decision import (FiniteProblem, Prior, Procedure, ShapeMismatch,
+                              SupportMismatch, WeightError, bayes_risk, risk_vector)
 from lcbayes.lcnum import LCNumber, NotNearStandard, eps, st
 from lcbayes.ratlp import CertificateError
 from lcbayes.priors import (classify, max_uniform_improvement, minimal_bayes_risk,
@@ -59,14 +59,14 @@ def test_symmetric_rule_is_exactly_bayes():
 def test_dominated_rule_has_negative_value():
     game = synthesize_prior(fp2(), Procedure.nonrandomized([1]))
     assert game.epsilon_star == 1
-    assert verify_epsilon_bayes(fp2(), Procedure.nonrandomized([1]),
+    assert verify_epsilon_bayes(fp2(), risk_vector(fp2(), Procedure.nonrandomized([1])),
                                 game.witness_prior, game.epsilon_star)
 
 
 def test_boundary_rule_supported_by_axis_prior():
     game = synthesize_prior(fp1(), rule(F(0)))  # risks (1, 0)
     assert game.epsilon_star == 0
-    assert verify_epsilon_bayes(fp1(), rule(F(0)), game.witness_prior, F(0))
+    assert verify_epsilon_bayes(fp1(), game.candidate_risks, game.witness_prior, F(0))
     # the returned prior puts no mass where the candidate is beaten
     assert bayes_risk(fp1(), rule(F(0)), game.witness_prior) == \
         minimal_bayes_risk(fp1(), game.witness_prior)
@@ -78,7 +78,8 @@ def test_exact_tie_needs_exact_weights():
     problem = FiniteProblem.build(["t1", "t2", "t3"], ["x"], ["a1", "a2"], model=[[1]] * 3,
                                   loss=[[1, 0], [1, 0], [0, F(3, 7)]])
     prior = Prior((F(1, 10), F(2, 10), F(7, 10)))
-    assert verify_epsilon_bayes(problem, Procedure.nonrandomized([0]), prior, F(0))
+    assert verify_epsilon_bayes(problem, risk_vector(problem, Procedure.nonrandomized([0])),
+                                prior, F(0))
     with pytest.raises(WeightError):
         Prior((0.1, 0.2, 0.7))
 
@@ -109,7 +110,8 @@ def test_duality_identity_against_uniform_improvement():
 def test_symmetric_rule_exact_bayes_under_uniform():
     # minimum Bayes risk under the uniform prior is 1/2
     assert minimal_bayes_risk(fp1(), Prior.uniform(2)) == F(1, 2)
-    assert verify_epsilon_bayes(fp1(), rule(F(1, 2)), Prior.uniform(2), F(0))
+    assert verify_epsilon_bayes(fp1(), risk_vector(fp1(), rule(F(1, 2))), Prior.uniform(2),
+                                F(0))
 
 
 def test_extreme_rule_recomputed_by_oracle():
@@ -118,12 +120,14 @@ def test_extreme_rule_recomputed_by_oracle():
     # state its Bayes risk is 1 against a minimum of 0
     p0 = rule(F(0))
     assert bayes_risk(fp1(), p0, Prior.uniform(2)) == F(1, 2)
-    assert verify_epsilon_bayes(fp1(), p0, Prior.uniform(2), F(0))
+    assert verify_epsilon_bayes(fp1(), risk_vector(fp1(), p0), Prior.uniform(2), F(0))
     point = Prior((F(1), F(0)))
     assert bayes_risk(fp1(), p0, point) == 1
     assert minimal_bayes_risk(fp1(), point) == 0
-    assert not verify_epsilon_bayes(fp1(), p0, point, F(1, 2))
-    assert verify_epsilon_bayes(fp1(), p0, point, F(1))
+    assert not verify_epsilon_bayes(fp1(), risk_vector(fp1(), p0), point, F(1, 2))
+    assert verify_epsilon_bayes(fp1(), risk_vector(fp1(), p0), point, F(1))
+    with pytest.raises(ShapeMismatch, match="one risk per state"):
+        verify_epsilon_bayes(fp1(), risk_vector(fp1(), p0)[:1], point, F(1))
 
 
 def test_levi_civita_point_prior_bayes():
@@ -134,7 +138,7 @@ def test_levi_civita_point_prior_bayes():
     always_a1 = rule(F(1))
     assert bayes_risk(fp1(), always_a1, prior) == e
     assert minimal_bayes_risk(fp1(), prior) == e
-    assert verify_epsilon_bayes(fp1(), always_a1, prior, LCNumber(0))
+    assert verify_epsilon_bayes(fp1(), risk_vector(fp1(), always_a1), prior, LCNumber(0))
 
 
 # ----------------------------------------------------------------------
@@ -213,9 +217,9 @@ def corrupting(monkeypatch, corrupt):
      lambda v: v.replace(witness_prior=Prior.point(0, 2)),
      "witness prior fails epsilon-Bayes verification"),
     # the candidate's risks (0, 1) read reversed: the slacks (1, 0) of the
-    # improver always-a1 still sum to S* = 1, and verify_epsilon_bayes
-    # recomputes the candidate's Bayes risk, so only a fresh risk vector
-    # shows the corruption
+    # improver always-a1 still sum to S* = 1; the fresh risk vector, checked
+    # before the epsilon-Bayes test that reads these risks, shows the
+    # corruption
     (flat, Procedure.nonrandomized([1]),
      lambda v: v.replace(candidate_risks=v.candidate_risks[::-1]),
      "candidate risks are not the candidate's"),
@@ -240,10 +244,10 @@ def test_domination_inherits_bayes():
     dominated = Procedure.nonrandomized([1])   # risks (1, 1)
     dominator = Procedure.nonrandomized([0])   # risks (1, 0)
     point = Prior((F(1), F(0)))
-    assert verify_epsilon_bayes(problem, dominated, point, F(0))
+    assert verify_epsilon_bayes(problem, risk_vector(problem, dominated), point, F(0))
     assert all(a <= b for a, b in zip(risk_vector(problem, dominator),
                                        risk_vector(problem, dominated)))
-    assert verify_epsilon_bayes(problem, dominator, point, F(0))
+    assert verify_epsilon_bayes(problem, risk_vector(problem, dominator), point, F(0))
 
 
 # ----------------------------------------------------------------------

@@ -3,11 +3,15 @@
 The reference below is the dense two-phase Bland simplex over
 ``Fraction`` that ``lcbayes.ratlp`` used before its tableau became
 fraction-free.  It shares no code with the solver under test: besides
-``solve_lp`` itself, the module takes only the ``LPProblem`` and
-``LPStatus`` data types from ``lcbayes.ratlp``.  Both pivot with
+``solve_lp`` itself, the module takes only the ``LPProblem`` data type
+and ``CertificateError`` from ``lcbayes.ratlp``.  Both pivot with
 Bland's entering rule and the same leaving tie-break on exact values, so
 they visit the same bases and every field of the solution must agree
-exactly, not just the optimal value.
+exactly, not just the optimal value.  The LPs are of the solver's one
+shape, the prior game's: ``=`` and ``<=`` rows with a nonnegative
+right-hand side, nonnegative and free variables.  Where the reference
+finds no feasible point or an unbounded objective, the solver must raise
+``CertificateError`` saying so.
 
 A right-hand side with an eta part, b + eta * b_eta for a positive
 infinitesimal eta, is checked against the reference solving the same LP
@@ -23,12 +27,15 @@ from fractions import Fraction
 from fractions import Fraction as F
 from typing import Optional, Sequence, Tuple
 
+import pytest
+
 import lcbayes.priors
 from lcbayes.decision import FiniteProblem, Procedure
 from lcbayes.priors import classify
-from lcbayes.ratlp import LPProblem, LPStatus, solve_lp
+from lcbayes.ratlp import CertificateError, LPProblem, solve_lp
 
-LEQ, EQ, GEQ = "<=", "=", ">="
+LEQ, EQ = "<=", "="
+OPTIMAL, INFEASIBLE, UNBOUNDED = "optimal", "infeasible", "unbounded"
 
 
 # ----------------------------------------------------------------------
@@ -37,8 +44,7 @@ LEQ, EQ, GEQ = "<=", "=", ">="
 
 
 class _Normalized:
-    """Equality-form tableau data: free variables split, upper bounds as
-    rows, rows sign-flipped so that b >= 0."""
+    """Equality-form tableau data: free variables split."""
 
     def __init__(self, p: LPProblem):
         self.problem = p
@@ -54,37 +60,11 @@ class _Normalized:
                 col += 1
         self.n_struct = col
 
-        rows: list[list[Fraction]] = []
-        relations: list[str] = []
-        rhs: list[Fraction] = []
-        for i, row in enumerate(p.rows):
-            rows.append(self._expand(row))
-            relations.append(p.relations[i])
-            rhs.append(p.rhs[i])
-        self.bound_row_of_var: dict[int, int] = {}
-        for j in range(n):
-            if p.upper[j] is not None:
-                unit = [Fraction(0)] * n
-                unit[j] = Fraction(1)
-                self.bound_row_of_var[j] = len(rows)
-                rows.append(self._expand(unit))
-                relations.append(LEQ)
-                rhs.append(p.upper[j])
-
-        self.flip: list[int] = []
-        for i in range(len(rows)):
-            if rhs[i] < 0:
-                rows[i] = [-a for a in rows[i]]
-                rhs[i] = -rhs[i]
-                relations[i] = {LEQ: GEQ, GEQ: LEQ, EQ: EQ}[relations[i]]
-                self.flip.append(-1)
-            else:
-                self.flip.append(1)
-
-        self.rows = rows
-        self.relations = relations
-        self.rhs = rhs
-        self.n_rows = len(rows)
+        self.rows = [self._expand(row) for row in p.rows]
+        self.relations = list(p.relations)
+        self.rhs = list(p.rhs)
+        assert all(b >= 0 for b in self.rhs)
+        self.n_rows = len(self.rows)
 
     def _expand(self, row: Sequence[Fraction]) -> list[Fraction]:
         out = [Fraction(0)] * self.n_struct
@@ -131,14 +111,6 @@ class _Tableau:
             rel = norm.relations[i]
             if rel == LEQ:
                 self._append_unit(i, col, Fraction(1))
-                self.init_col_of_row[i] = col
-                self.basis.append(col)
-                col += 1
-            elif rel == GEQ:
-                self._append_unit(i, col, Fraction(-1))
-                col += 1
-                self._append_unit(i, col, Fraction(1))
-                self.art_cols.add(col)
                 self.init_col_of_row[i] = col
                 self.basis.append(col)
                 col += 1
@@ -228,12 +200,9 @@ class _Tableau:
         return out
 
 
-_FIELDS = ("status", "x", "objective_value", "row_duals", "bound_duals",
-           "farkas_rows", "farkas_bounds", "ray", "ray_origin")
-
-
-def reference_solve(problem: LPProblem, events: Optional[set] = None) -> dict:
-    """Every solution field, keyed by its ``LPSolution`` name.
+def reference_solve(problem: LPProblem, events: Optional[set] = None) -> Tuple[str, dict]:
+    """The outcome, and for an optimum the solution's standard fields,
+    keyed by their ``LPSolution`` names.
 
     ``events`` collects the purge cases met: "negative purge pivot" and
     "dropped row".
@@ -241,7 +210,6 @@ def reference_solve(problem: LPProblem, events: Optional[set] = None) -> dict:
     events = set() if events is None else events
     norm = _Normalized(problem)
     tab = _Tableau(norm)
-    out = dict.fromkeys(_FIELDS)
 
     cost1 = [Fraction(0)] * tab.n_cols
     for j in tab.art_cols:
@@ -249,28 +217,15 @@ def reference_solve(problem: LPProblem, events: Optional[set] = None) -> dict:
     assert tab.run(cost1, lambda j: True) is None
 
     if tab.objective_value(cost1) != 0:
-        y = tab.duals(cost1)
-        out["status"] = LPStatus.INFEASIBLE
-        out["farkas_rows"], out["farkas_bounds"] = _multipliers(norm, y)
-        return out
+        return INFEASIBLE, {}
 
     _purge_artificials(tab, events)
     cost2 = norm.expanded_objective() + [Fraction(0)] * (tab.n_cols - norm.n_struct)
-    entering = tab.run(cost2, lambda j: j not in tab.art_cols)
-    if entering is None:
-        out["status"] = LPStatus.OPTIMAL
-        out["x"] = norm.collapse(_struct_values(tab))
-        out["objective_value"] = tab.objective_value(cost2)
-        out["row_duals"], out["bound_duals"] = _multipliers(norm, tab.duals(cost2))
-    else:
-        out["status"] = LPStatus.UNBOUNDED
-        out["ray_origin"] = norm.collapse(_struct_values(tab))
-        direction = [Fraction(0)] * tab.n_cols
-        direction[entering] = Fraction(1)
-        for i, col in enumerate(tab.basis):
-            direction[col] = -tab.matrix[i][entering]
-        out["ray"] = norm.collapse(direction[:norm.n_struct])
-    return out
+    if tab.run(cost2, lambda j: j not in tab.art_cols) is not None:
+        return UNBOUNDED, {}
+    return OPTIMAL, {"x": norm.collapse(_struct_values(tab)),
+                     "objective_value": tab.objective_value(cost2),
+                     "row_duals": tuple(tab.duals(cost2))}
 
 
 def _purge_artificials(tab: _Tableau, events: set):
@@ -299,81 +254,69 @@ def _struct_values(tab: _Tableau) -> list[Fraction]:
     return values[:tab.norm.n_struct]
 
 
-def _multipliers(norm: _Normalized, y) -> Tuple[tuple, tuple]:
-    p = norm.problem
-    rows = tuple(norm.flip[i] * y[i] for i in range(len(p.rows)))
-    bounds = [Fraction(0)] * p.n_vars()
-    for j, internal in norm.bound_row_of_var.items():
-        bounds[j] = norm.flip[internal] * y[internal]
-    return rows, tuple(bounds)
-
-
 # ----------------------------------------------------------------------
 # differential tests
 # ----------------------------------------------------------------------
 
 
-_ETA_FIELDS = {"x_eta": "x", "objective_value_eta": "objective_value",
-               "ray_origin_eta": "ray_origin"}
+_ETA_FIELDS = {"x_eta": "x", "objective_value_eta": "objective_value"}
 
 
-def _zero_like(value):
-    if value is None:
-        return None
-    if isinstance(value, tuple):
-        return tuple(F(0) for _ in value)
-    return F(0)
-
-
-def assert_same_solution(problem: LPProblem, events: Optional[set] = None):
-    """Solve an eta-free LP with both simplexes; every field must be exactly
-    equal, and every eta part of the solution 0."""
+def assert_same_solution(problem: LPProblem, events: Optional[set] = None) -> str:
+    """Solve an eta-free LP with both simplexes; at an optimum every field
+    must be exactly equal, and every eta part of the solution 0.  Returns
+    the outcome."""
     assert not any(problem.rhs_eta)
+    outcome, want = reference_solve(problem, events)
+    if outcome != OPTIMAL:
+        with pytest.raises(CertificateError, match=f"the LP is {outcome}"):
+            solve_lp(problem)
+        return outcome
     got = solve_lp(problem)
-    want = reference_solve(problem, events)
-    for name, base in _ETA_FIELDS.items():
-        want[name] = _zero_like(want[base])
+    want["x_eta"] = tuple(F(0) for _ in want["x"])
+    want["objective_value_eta"] = F(0)
     fields = {name: getattr(got, name) for name in got._fields}
     assert fields == want
-    assert repr(fields) == repr(want)  # same types too, not just equal values
-    return got
+    assert repr(fields) == repr({name: want[name] for name in got._fields})  # same types too
+    return outcome
 
 
 REFERENCE_ETA = F(1, 10 ** 40)
 
 
-def assert_eta_solution_matches(problem: LPProblem, events: Optional[set] = None):
+def assert_eta_solution_matches(problem: LPProblem, events: Optional[set] = None) -> str:
     """Solve an LP with an eta part; the reference solves it at eta = REFERENCE_ETA.
 
-    Duals, multipliers and rays are rational and must be equal; the
-    reference's point and value must equal standard part + eta * eta part.
+    The duals are rational and must be equal; the reference's point and
+    value must equal standard part + eta * eta part.  Returns the outcome.
     """
-    got = solve_lp(problem)
     rhs = [b + REFERENCE_ETA * e for b, e in zip(problem.rhs, problem.rhs_eta)]
-    want = reference_solve(problem.replace(rhs=tuple(rhs), rhs_eta=(F(0),) * len(rhs)),
-                           events)
-    for name in ("status", "row_duals", "bound_duals", "farkas_rows", "farkas_bounds",
-                 "ray"):
-        assert getattr(got, name) == want[name], name
+    outcome, want = reference_solve(
+        problem.replace(rhs=tuple(rhs), rhs_eta=(F(0),) * len(rhs)), events)
+    if outcome != OPTIMAL:
+        with pytest.raises(CertificateError, match=f"the LP is {outcome}"):
+            solve_lp(problem)
+        return outcome
+    got = solve_lp(problem)
+    assert got.row_duals == want["row_duals"]
     for name, base in _ETA_FIELDS.items():
         value, value_eta = getattr(got, base), getattr(got, name)
-        if want[base] is None:
-            assert value is None and value_eta is None, name
-        elif isinstance(value, tuple):
+        if isinstance(value, tuple):
             assert want[base] == tuple(v + REFERENCE_ETA * e
                                        for v, e in zip(value, value_eta)), name
         else:
             assert want[base] == value + REFERENCE_ETA * value_eta, name
-    return got
+    return outcome
 
 
 def random_lp(rng: random.Random, eta: bool = False) -> LPProblem:
-    """A small LP mixing every relation, free and bounded variables,
-    negative right-hand sides and, sometimes, a redundant equality row.
+    """A small LP of the prior game's shape: ``=`` and ``<=`` rows with a
+    nonnegative right-hand side, nonnegative and free variables and,
+    sometimes, a redundant equality row.
 
     With ``eta`` the right-hand side gets an eta part.  Some rows get
-    b = 0, so that the sign of b_eta alone decides whether the row is
-    negated; others get b and b_eta of opposite signs.
+    b = 0, so that b_eta alone is the right-hand side; others get b > 0
+    and b_eta of either sign.
     """
     n = rng.randint(1, 5)
     m = rng.randint(1, 5)
@@ -383,62 +326,57 @@ def random_lp(rng: random.Random, eta: bool = False) -> LPProblem:
 
     objective = [coef() for _ in range(n)]
     rows = [[coef() for _ in range(n)] for _ in range(m)]
-    relations = [rng.choice([LEQ, EQ, GEQ]) for _ in range(m)]
-    rhs = [F(rng.randint(-5, 6), rng.randint(1, 2)) if rng.random() < 0.8 else F(0)
+    relations = [rng.choice([LEQ, EQ]) for _ in range(m)]
+    rhs = [F(rng.randint(0, 6), rng.randint(1, 2)) if rng.random() < 0.8 else F(0)
            for _ in range(m)]
     rhs_eta = [F(0)] * m
     if eta:
         rhs = [F(0) if rng.random() < 0.3 else b for b in rhs]
         rhs_eta = [F(rng.randint(-3, 3), rng.randint(1, 2)) if rng.random() < 0.7 else F(0)
                    for _ in range(m)]
+        rhs_eta = [abs(e) if b == 0 else e for b, e in zip(rhs, rhs_eta)]
     if rng.random() < 0.3:
         i = rng.randrange(m)
-        k = F(rng.choice([-3, -2, -1, 2]), rng.randint(1, 2))
+        # a negative multiple keeps the right-hand side nonnegative only when it is 0
+        signs = [-1, 1] if rhs[i] == rhs_eta[i] == 0 else [1]
+        k = F(rng.choice(signs) * rng.randint(1, 3), rng.randint(1, 2))
         relations[i] = EQ
         rows.append([k * a for a in rows[i]])
         relations.append(EQ)
         rhs.append(k * rhs[i])
         rhs_eta.append(k * rhs_eta[i])
     lower = [None if rng.random() < 0.25 else 0 for _ in range(n)]
-    upper = [F(rng.randint(0, 6), rng.randint(1, 2)) if rng.random() < 0.3 else None
-             for _ in range(n)]
-    return LPProblem.build(objective, rows, relations, rhs, lower=lower, upper=upper,
-                           rhs_eta=rhs_eta)
+    return LPProblem.build(objective, rows, relations, rhs, lower=lower, rhs_eta=rhs_eta)
 
 
 def test_random_lps_match_reference():
     rng = random.Random(19680101)
-    statuses = {status: 0 for status in LPStatus}
-    features = {"free variable": 0, "upper bound": 0, "negative rhs": 0}
+    outcomes = dict.fromkeys((OPTIMAL, INFEASIBLE, UNBOUNDED), 0)
+    features = {"free variable": 0, "zero rhs": 0}
     events: set = set()
     for _ in range(400):
         problem = random_lp(rng)
-        sol = assert_same_solution(problem, events)
-        statuses[sol.status] += 1
+        outcomes[assert_same_solution(problem, events)] += 1
         features["free variable"] += any(b is None for b in problem.lower)
-        features["upper bound"] += any(b is not None for b in problem.upper)
-        features["negative rhs"] += any(b < 0 for b in problem.rhs)
-    assert all(count > 0 for count in statuses.values()), statuses
+        features["zero rhs"] += any(b == 0 for b in problem.rhs)
+    assert all(count > 0 for count in outcomes.values()), outcomes
     assert all(count > 0 for count in features.values()), features
     assert events == {"negative purge pivot", "dropped row"}
 
 
 def test_random_eta_lps_match_reference():
     rng = random.Random(161230)
-    statuses = {status: 0 for status in LPStatus}
-    signs = {"b = 0 < b_eta": 0, "b = 0 > b_eta": 0, "b > 0 > b_eta": 0,
-             "b < 0 < b_eta": 0}
+    outcomes = dict.fromkeys((OPTIMAL, INFEASIBLE, UNBOUNDED), 0)
+    signs = {"b = 0 < b_eta": 0, "b > 0 > b_eta": 0, "b > 0 < b_eta": 0}
     events: set = set()
     for _ in range(500):
         problem = random_lp(rng, eta=True)
-        sol = assert_eta_solution_matches(problem, events)
-        statuses[sol.status] += 1
+        outcomes[assert_eta_solution_matches(problem, events)] += 1
         for b, e in zip(problem.rhs, problem.rhs_eta):
             signs["b = 0 < b_eta"] += b == 0 < e
-            signs["b = 0 > b_eta"] += b == 0 > e
             signs["b > 0 > b_eta"] += b > 0 > e
-            signs["b < 0 < b_eta"] += b < 0 < e
-    assert all(count > 0 for count in statuses.values()), statuses
+            signs["b > 0 < b_eta"] += b > 0 < e
+    assert all(count > 0 for count in outcomes.values()), outcomes
     assert all(count > 0 for count in signs.values()), signs
     assert events == {"negative purge pivot", "dropped row"}
 

@@ -13,7 +13,7 @@ from lcbayes._record import Record
 from lcbayes.decision import FiniteProblem, Prior, Procedure, WeightError
 from lcbayes.families import GaussianPrior, NonBayesEntry
 from lcbayes.lcnum import eps
-from lcbayes.ratlp import LPProblem, LPSolution, LPStatus, solve_lp
+from lcbayes.ratlp import LPProblem, LPSolution, solve_lp
 
 
 def problem():
@@ -34,8 +34,11 @@ class OtherPair(Record):
 def test_fields_keep_annotation_order_and_defaults():
     assert Procedure._fields == ("kind", "matrix_rows", "action_map")
     assert FiniteProblem._fields[-2:] == ("state_coords", "action_values")
-    assert LPSolution(LPStatus.INFEASIBLE).x is None
     assert problem().state_coords == (None, None)
+    # a class attribute without an annotation is no field
+    assert LPSolution._fields == ("x", "x_eta", "objective_value", "objective_value_eta",
+                                  "row_duals")
+    assert LPSolution.bound_duals is None
     assert Pair(1) == Pair(1, 0) == Pair(left=1, right=0) == Pair(right=0, left=1)
     assert (Pair(1).left, Pair(1).right) == (1, 0)
 
@@ -103,11 +106,9 @@ def test_repr_is_the_field_listing():
         "Procedure(kind='randomized', matrix_rows=((Fraction(1, 2), Fraction(1, 2)),), "
         "action_map=None)")
     assert repr(solve_lp(LPProblem.build([1], [[1]], ["<="], [3]))) == (
-        "LPSolution(status=<LPStatus.OPTIMAL: 'optimal'>, x=(Fraction(3, 1),), "
-        "objective_value=Fraction(3, 1), row_duals=(Fraction(1, 1),), "
-        "bound_duals=(Fraction(0, 1),), farkas_rows=None, farkas_bounds=None, ray=None, "
-        "ray_origin=None, x_eta=(Fraction(0, 1),), objective_value_eta=Fraction(0, 1), "
-        "ray_origin_eta=None)")
+        "LPSolution(x=(Fraction(3, 1),), x_eta=(Fraction(0, 1),), "
+        "objective_value=Fraction(3, 1), objective_value_eta=Fraction(0, 1), "
+        "row_duals=(Fraction(1, 1),))")
 
 
 def test_replace_validates_afresh():
