@@ -9,15 +9,16 @@ Subpackages by capability:
 * :mod:`lcbayes.decision` - finite decision problems, randomized rules,
   exact risk and Bayes risk, mixtures and derandomization; the one prior
   type, with rational or Levi-Civita weights on states or on parameter
-  points.
+  points; the one domination predicate, over rational or Levi-Civita
+  risks with standard tags.
 * :mod:`lcbayes.priors` - the prior game, one LP per verdict, returned as
   one record (epsilon*, the total slack S*, the witness prior, the
   improver and the candidate's risks) from which admissibility and
   extended admissibility are read; each verdict checked; epsilon-Bayes
   verification.
-* :mod:`lcbayes.admissibility` - domination checks that solve no LP:
-  explicit challengers, the randomized class via the prior game, and
-  Levi-Civita risks on a tagged grid.
+* :mod:`lcbayes.admissibility` - defines nothing: it re-exports the prior
+  game's two readers, ``check_admissible`` and ``max_uniform_improvement``,
+  under the names the benchmark's tracer spans.
 * :mod:`lcbayes.families` - closed-form location and boundary families,
   prior regularity, pushdowns of Levi-Civita priors with their Bayes-risk
   consistency check, and grid-scoped admissibility certificates.
@@ -37,12 +38,10 @@ _EXPORTS = {
     "ratlp": ("CertificateError", "LPProblem", "LPSolution", "MalformedProblem",
               "check_certificate", "solve_lp"),
     "decision": ("FiniteProblem", "Prior", "Procedure", "bayes_risk",
-                 "convex_combine", "derandomize", "risk", "risk_vector"),
+                 "convex_combine", "derandomize", "dominates", "risk", "risk_vector"),
     "priors": ("AdmissibilityVerdict", "check_admissible", "classify",
                "max_uniform_improvement", "minimal_bayes_risk", "synthesize_prior",
                "verify_epsilon_bayes"),
-    "admissibility": ("DominationQuery", "check_domination",
-                      "check_lc_domination", "is_epsilon_dominated"),
     "families": ("BernoulliBoundary", "BlythCertificate", "GaussianPrior",
                  "NormalLocationLinear", "RegularityVerdict",
                  "bernoulli_boundary_report", "blyth_certificate",

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence, Tuple, Union
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
 from ._record import Record
 
@@ -332,8 +332,9 @@ def check_procedure(problem: FiniteProblem,
 
 def risk(problem: FiniteProblem, procedure: Procedure, state_index: int) -> Fraction:
     """Expected loss at one state, exact."""
-    if state_index < 0 or state_index >= problem.n_states:
-        raise IndexOutOfRange(f"state index {state_index} out of range")
+    # bool is an int subclass, but True/False are not state indices
+    if type(state_index) is not int or state_index < 0 or state_index >= problem.n_states:
+        raise IndexOutOfRange(f"state index {state_index!r} out of range")
     return risk_vector(problem, procedure)[state_index]
 
 
@@ -351,6 +352,41 @@ def bayes_risk(problem: FiniteProblem, procedure: Procedure, prior: Prior):
     """sum_theta pi(theta) r(theta, procedure); exact in the prior's scalar field."""
     risks = risk_vector(problem, procedure)
     return sum(w * risks[idx] for idx, w in prior.items(problem.n_states))
+
+
+def dominates(candidate_risks: Sequence, challenger_risks: Iterable, epsilon=0,
+              standard: Optional[Sequence[bool]] = None) -> bool:
+    """Does the challenger epsilon-dominate the candidate?
+
+    Clause 1: challenger <= candidate - epsilon at every state.
+    Clause 2: at some state tagged standard (every state when ``standard``
+    is None) the two risks are not within an infinitesimal of each other;
+    for rational risks, they differ.  Risks and epsilon may be rational or
+    Levi-Civita.  ``challenger_risks`` may be lazy: it is read only until
+    clause 1 fails.
+    """
+    if epsilon < 0:
+        raise ValueError("epsilon must be nonnegative")
+    n = len(candidate_risks)
+    if standard is not None and len(standard) != n:
+        raise ShapeMismatch("one standard tag per state")
+    if hasattr(challenger_risks, "__len__") and len(challenger_risks) != n:
+        raise ShapeMismatch("risk vectors must have equal length")
+    challenger = iter(challenger_risks)
+    apart = False
+    for i, cand in enumerate(candidate_risks):
+        chal = next(challenger, None)
+        if chal is None:
+            raise ShapeMismatch("risk vectors must have equal length")
+        if chal > (cand - epsilon if epsilon else cand):
+            return False
+        if not apart and chal != cand and (standard is None or standard[i]):
+            # a rational difference is standard; a Levi-Civita one may be infinitesimal
+            diff = cand - chal
+            apart = isinstance(diff, (int, Fraction)) or not diff.is_infinitesimal()
+    if next(challenger, None) is not None:
+        raise ShapeMismatch("risk vectors must have equal length")
+    return apart
 
 
 def convex_combine(procedures: Sequence[Procedure], weights: Sequence[Rational],

@@ -31,7 +31,7 @@ from math import isqrt
 from typing import Optional, Sequence, Tuple, Union
 
 from ._record import Record
-from .decision import Prior, SupportMismatch
+from .decision import Prior, SupportMismatch, dominates
 from .lcnum import LCNumber, eps, much_greater, st
 
 Scalar = Union[Fraction, LCNumber]
@@ -548,6 +548,12 @@ def bernoulli_boundary_report(order: int = 8,
     it is one state short: the marginal challengers (0, 1/20), (1/20, 0)
     and (1/20, 1/20) tie (0,0) at t = 1/40 and win elsewhere on the grid,
     and the report returns these three.
+
+    The states run smallest first, 1/state_count, ..., 1, then 0.  If any
+    grid state lies in (0, m/2), the smallest positive one does, and at
+    t = 0 no challenger is worse; so every challenger that fails clause 1
+    of :func:`lcbayes.decision.dominates` fails it at the first state,
+    and its other risks are never computed.
     """
     family = BernoulliBoundary()
     zero_rule = (Fraction(0), Fraction(0))
@@ -571,25 +577,12 @@ def bernoulli_boundary_report(order: int = 8,
             prior_label=label, optimal_rule=rule, optimal_bayes_risk=best,
             candidate_bayes_risk=cand, excess=cand - best))
 
-    states = [Fraction(1, n) for n in range(1, state_count + 1)] + [Fraction(0)]
+    states = [Fraction(1, n) for n in range(state_count, 0, -1)] + [Fraction(0)]
     candidate_risks = [family.risk(zero_rule, t) for t in states]
     steps = [Fraction(j, challenger_step) for j in range(challenger_step + 1)]
-    dominators = []
-    for a in steps:
-        for b in steps:
-            if (a, b) == zero_rule:
-                continue
-            strictly_better_somewhere = False
-            weakly_better_everywhere = True
-            for t, cand in zip(states, candidate_risks):
-                r = family.risk((a, b), t)
-                if r > cand:
-                    weakly_better_everywhere = False
-                    break
-                if r < cand:
-                    strictly_better_somewhere = True
-            if weakly_better_everywhere and strictly_better_somewhere:
-                dominators.append((a, b))
+    dominators = [(a, b) for a in steps for b in steps
+                  if (a, b) != zero_rule
+                  and dominates(candidate_risks, (family.risk((a, b), t) for t in states))]
 
     return BernoulliBoundaryReport(
         order=order,

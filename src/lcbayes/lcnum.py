@@ -210,13 +210,6 @@ class LCNumber:
                 break
         return Fraction(0)
 
-    def coefficient(self, exponent: Rational) -> Fraction:
-        e = _as_fraction(exponent)
-        for expo, coeff in self._terms:
-            if expo == e:
-                return coeff
-        return Fraction(0)
-
     # ------------------------------------------------------------------
     # arithmetic
     # ------------------------------------------------------------------

@@ -89,9 +89,8 @@ class LPProblem(Record):
               relations: Sequence[str],
               rhs: Sequence[Rational],
               lower: Optional[Sequence[Optional[Rational]]] = None,
-              upper: Optional[Sequence[Optional[Rational]]] = None,
               rhs_eta: Optional[Sequence[Rational]] = None) -> "LPProblem":
-        """The checked problem; ``upper`` exists only to refuse upper bounds."""
+        """The checked problem."""
         n = len(objective)
         if lower is None:
             lower = [0] * n
@@ -99,8 +98,6 @@ class LPProblem(Record):
             rhs_eta = [0] * len(rhs)
         if len(lower) != n:
             raise MalformedProblem("bounds length must match objective length")
-        if upper is not None and any(b is not None for b in upper):
-            raise MalformedProblem("upper bounds are not supported; write x_j <= u as a row")
         if not (len(rows) == len(relations) == len(rhs) == len(rhs_eta)):
             raise MalformedProblem("rows, relations, rhs and rhs_eta must have equal length")
         obj = tuple(_frac(c) for c in objective)

@@ -24,7 +24,6 @@ import random
 import time
 from fractions import Fraction as F
 
-from lcbayes.admissibility import max_uniform_improvement
 from lcbayes.cli import main
 from lcbayes.decision import (FiniteProblem, Prior, Procedure, derandomize,
                               loss_convex_along_embedding, risk, risk_vector)
@@ -33,7 +32,8 @@ from lcbayes.families import (NOT_REGULAR, REGULAR, BernoulliBoundary,
                               normal_location_report, pushdown_risk_consistency)
 from lcbayes.lcnum import (LCNumber, eps, much_greater, parse,
                            refute_much_greater, st)
-from lcbayes.priors import minimal_bayes_risk, synthesize_prior, verify_epsilon_bayes
+from lcbayes.priors import (max_uniform_improvement, minimal_bayes_risk, synthesize_prior,
+                            verify_epsilon_bayes)
 
 ORDER = 8
 

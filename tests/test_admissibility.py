@@ -1,16 +1,16 @@
-"""Domination and admissibility verdict tests."""
+"""The domination predicate, and the admissibility verdicts of the prior game."""
 
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import lcbayes.priors
-from lcbayes.admissibility import (DominationQuery, check_admissible,
-                                   check_domination, check_lc_domination,
-                                   is_epsilon_dominated,
-                                   max_uniform_improvement)
-from lcbayes.decision import FiniteProblem, Procedure, risk, risk_vector
+from lcbayes.decision import (FiniteProblem, Procedure, ShapeMismatch, dominates, risk,
+                              risk_vector)
 from lcbayes.lcnum import LCNumber, eps
+from lcbayes.priors import check_admissible, max_uniform_improvement
 from lcbayes.ratlp import solve_lp
 
 
@@ -33,6 +33,20 @@ ALWAYS_A1 = Procedure.nonrandomized([0])
 ALWAYS_A2 = Procedure.nonrandomized([1])
 
 
+def rule_dominates(problem, candidate, challenger, epsilon=0):
+    return dominates(risk_vector(problem, candidate), risk_vector(problem, challenger), epsilon)
+
+
+def dominated_by_some_rule(problem, candidate, epsilon):
+    """Is the candidate epsilon-dominated by some randomized rule?
+
+    Read from the prior game: at epsilon > 0 iff epsilon <= epsilon*, and
+    at epsilon = 0 iff the candidate is not admissible.
+    """
+    verdict = check_admissible(problem, candidate)
+    return epsilon <= verdict.epsilon_star if epsilon > 0 else not verdict.admissible
+
+
 # ----------------------------------------------------------------------
 # domination
 # ----------------------------------------------------------------------
@@ -42,33 +56,69 @@ def test_uniform_gap_dominates_at_epsilon_one():
     # risks differ by exactly 1 at each state (hand oracle)
     assert risk_vector(fp2(), ALWAYS_A2) == (F(1), F(2))
     assert risk_vector(fp2(), ALWAYS_A1) == (F(0), F(1))
-    query = DominationQuery(fp2(), ALWAYS_A2, epsilon=F(1))
-    assert check_domination(query, ALWAYS_A1)
+    assert rule_dominates(fp2(), ALWAYS_A2, ALWAYS_A1, F(1))
 
 
 def test_crossing_risks_do_not_dominate():
     # (1/2, 1/2) vs (3/4, 1/4): incomparable
-    query = DominationQuery(fp1(), rule(F(1, 2)), epsilon=F(0))
-    assert not check_domination(query, rule(F(1, 4)))
+    assert not rule_dominates(fp1(), rule(F(1, 2)), rule(F(1, 4)))
 
 
 def test_self_domination_fails_clause_two():
     proc = rule(F(1, 3))
-    query = DominationQuery(fp1(), proc, epsilon=F(0))
-    assert not check_domination(query, proc)
+    assert not rule_dominates(fp1(), proc, proc)
 
 
 def test_domination_monotone_in_epsilon():
     for epsilon in (F(0), F(1, 3), F(1, 2), F(1)):
-        query = DominationQuery(fp2(), ALWAYS_A2, epsilon=epsilon)
-        assert check_domination(query, ALWAYS_A1)
-    assert not check_domination(DominationQuery(fp2(), ALWAYS_A2, epsilon=F(3, 2)),
-                                ALWAYS_A1)
+        assert rule_dominates(fp2(), ALWAYS_A2, ALWAYS_A1, epsilon)
+    assert not rule_dominates(fp2(), ALWAYS_A2, ALWAYS_A1, F(3, 2))
 
 
 def test_negative_epsilon_rejected():
-    with pytest.raises(ValueError):
-        DominationQuery(fp1(), rule(F(1, 2)), epsilon=F(-1))
+    for epsilon in (F(-1), -eps()):
+        with pytest.raises(ValueError, match="nonnegative"):
+            dominates([F(1)], [F(0)], epsilon)
+
+
+def test_lazy_challenger_is_read_only_until_clause_one_fails():
+    read = []
+
+    def challenger():
+        for value in (F(0), F(5)):  # clause 1 fails at the second state
+            read.append(value)
+            yield value
+        raise AssertionError("read past the state that refutes clause 1")
+
+    assert not dominates([F(1), F(1), F(1)], challenger())
+    assert read == [F(0), F(5)]
+    # a lazy challenger that dominates is read to its end, and no further
+    assert dominates([F(1), F(1)], iter([F(0), F(1)]))
+
+
+@pytest.mark.parametrize("challenger, standard", [
+    ([F(0)], None),
+    ([F(0), F(0), F(0)], None),
+    (iter([F(0)]), None),
+    (iter([F(0), F(0), F(0)]), None),
+    # a sized challenger is measured before clause 1 is read
+    ([F(5), F(0), F(0)], None),
+    ([F(0), F(0)], [True]),
+], ids=["shorter", "longer", "lazy-shorter", "lazy-longer", "longer-and-worse",
+        "tag-length"])
+def test_shape_mismatch(challenger, standard):
+    with pytest.raises(ShapeMismatch):
+        dominates([F(1), F(1)], challenger, standard=standard)
+
+
+def test_infinitesimal_epsilon():
+    e = eps()
+    cand = [LCNumber(1), LCNumber(2)]
+    # clause 1 holds at epsilon = eps; clause 2 decides
+    assert not dominates(cand, [c - e for c in cand], e)
+    assert dominates(cand, [cand[0] - e, cand[1] - F(1, 2)], e)
+    # an eps^2 gap is smaller than epsilon = eps: clause 1 fails
+    assert not dominates(cand, [c - e * e for c in cand], e)
 
 
 # ----------------------------------------------------------------------
@@ -104,15 +154,12 @@ def test_epsilon_star_coherence():
     problem = fp2()
     estar, witness = max_uniform_improvement(problem, ALWAYS_A2)
     for epsilon in (F(0), F(1, 2), estar):
-        assert check_domination(DominationQuery(problem, ALWAYS_A2, epsilon=epsilon),
-                                witness)
+        assert rule_dominates(problem, ALWAYS_A2, witness, epsilon)
     # beyond epsilon*: no challenger on a fine grid of the rule simplex
     # (risks are affine in p, so grid vertices include the maximizer)
     beyond = estar + F(1, 7)
-    assert not any(
-        check_domination(DominationQuery(problem, ALWAYS_A2, epsilon=beyond),
-                         rule(F(j, 50)))
-        for j in range(51))
+    assert not any(rule_dominates(problem, ALWAYS_A2, rule(F(j, 50)), beyond)
+                   for j in range(51))
 
 
 # ----------------------------------------------------------------------
@@ -161,29 +208,27 @@ def test_inadmissible_but_extended_admissible():
 
 
 def test_domination_within_explicit_class():
-    explicit = DominationQuery(fp2(), ALWAYS_A2, epsilon=F(1),
-                               challenger_class=(rule(F(1, 2)), ALWAYS_A1))
-    dominated, witness = is_epsilon_dominated(explicit)
-    assert dominated and witness == ALWAYS_A1
-    only_weak = DominationQuery(fp2(), ALWAYS_A2, epsilon=F(1),
-                                challenger_class=(rule(F(1, 2)),))
-    assert is_epsilon_dominated(only_weak) == (False, None)
+    cand = risk_vector(fp2(), ALWAYS_A2)
+    challengers = (rule(F(1, 2)), ALWAYS_A1)
+    assert [c for c in challengers
+            if dominates(cand, risk_vector(fp2(), c), F(1))] == [ALWAYS_A1]
+    only_weak = (rule(F(1, 2)),)
+    assert not any(dominates(cand, risk_vector(fp2(), c), F(1)) for c in only_weak)
 
 
 def test_domination_within_full_randomized_class():
-    dominated, witness = is_epsilon_dominated(
-        DominationQuery(fp2(), ALWAYS_A2, epsilon=F(1)))
-    assert dominated
-    assert check_domination(DominationQuery(fp2(), ALWAYS_A2, epsilon=F(1)), witness)
-    assert is_epsilon_dominated(
-        DominationQuery(fp2(), ALWAYS_A2, epsilon=F(3, 2)))[0] is False
-    # epsilon = 0 reduces to inadmissibility
-    assert is_epsilon_dominated(DominationQuery(fp1(), rule(F(1, 2))))[0] is False
-    assert is_epsilon_dominated(DominationQuery(fp2(), ALWAYS_A2))[0] is True
+    assert dominated_by_some_rule(fp2(), ALWAYS_A2, F(1))
+    verdict = check_admissible(fp2(), ALWAYS_A2)
+    assert rule_dominates(fp2(), ALWAYS_A2, verdict.improver, F(1))
+    assert not dominated_by_some_rule(fp2(), ALWAYS_A2, F(3, 2))
+    # epsilon = 0 reduces to inadmissibility, and the witness dominates
+    assert not dominated_by_some_rule(fp1(), rule(F(1, 2)), F(0))
+    assert dominated_by_some_rule(fp2(), ALWAYS_A2, F(0))
+    assert rule_dominates(fp2(), ALWAYS_A2, verdict.witness)
 
 
 def test_domination_query_solves_each_lp_once(monkeypatch):
-    # the floored prior-game LP gives epsilon* and S*, so every query solves
+    # the floored prior-game LP gives epsilon* and S*, so each reader solves
     # it once.  The answers are those of the LP solved directly.
     inadmissible_witness = check_admissible(fp2(), ALWAYS_A2).witness
     uniform_witness = max_uniform_improvement(fp2(), ALWAYS_A2)[1]
@@ -197,17 +242,18 @@ def test_domination_query_solves_each_lp_once(monkeypatch):
         return solve_lp(lp)
 
     monkeypatch.setattr(lcbayes.priors, "solve_lp", counting_solve)
-    # epsilon* = 1: the game LP alone, at epsilon = 0 and at epsilon > 0
-    assert is_epsilon_dominated(DominationQuery(fp2(), ALWAYS_A2)) == (
-        True, inadmissible_witness)
+    # epsilon* = 1: the game LP alone, for the verdict and for epsilon*
+    verdict = check_admissible(fp2(), ALWAYS_A2)
+    assert (verdict.admissible, verdict.witness) == (False, inadmissible_witness)
     assert len(calls) == 1
     calls.clear()
-    assert is_epsilon_dominated(DominationQuery(fp2(), ALWAYS_A2, F(1))) == (
-        True, uniform_witness)
+    assert max_uniform_improvement(fp2(), ALWAYS_A2) == (F(1), uniform_witness)
     assert len(calls) == 1
     calls.clear()
     # inadmissible at epsilon* = 0: the game LP alone as well
-    assert is_epsilon_dominated(DominationQuery(flat, ALWAYS_A2)) == (True, flat_witness)
+    verdict = check_admissible(flat, ALWAYS_A2)
+    assert (verdict.admissible, verdict.epsilon_star, verdict.witness) == (
+        False, 0, flat_witness)
     assert len(calls) == 1
 
 
@@ -220,16 +266,16 @@ def test_lc_domination_uniform_rational_gap():
     e = eps()
     cand = [LCNumber(1), LCNumber(2) + e]
     chal = [c - F(1, 2) for c in cand]
-    assert check_lc_domination(cand, chal, F(1, 2))
+    assert dominates(cand, chal, F(1, 2))
 
 
 def test_lc_domination_infinitesimal_gap_fails_clause_two():
     e = eps()
     cand = [LCNumber(1), LCNumber(F(3, 2))]
     chal = [c - e * e for c in cand]
-    assert not check_lc_domination(cand, chal, LCNumber(0))
-    # on-all mode makes no difference: the gap is infinitesimal everywhere
-    assert not check_lc_domination(cand, chal, LCNumber(0), clause_two_mode="all")
+    assert not dominates(cand, chal, LCNumber(0))
+    # tagging every state makes no difference: the gap is infinitesimal everywhere
+    assert not dominates(cand, chal, LCNumber(0), standard=[True, True])
 
 
 def test_lc_domination_mixed_grid():
@@ -237,34 +283,64 @@ def test_lc_domination_mixed_grid():
     cand = [LCNumber(1), LCNumber(1), LCNumber(2)]
     chal = [cand[0] - F(1, 3), cand[1], cand[2] - e]
     tags = [True, True, False]
-    assert check_lc_domination(cand, chal, LCNumber(0), standard_points=tags)
+    assert dominates(cand, chal, LCNumber(0), standard=tags)
 
 
 def test_lc_domination_untagged_witness_ignored():
-    e = eps()
     cand = [LCNumber(1), LCNumber(2)]
     chal = [cand[0], cand[1] - F(1, 3)]
     tags = [True, False]
     # the only non-infinitesimal improvement sits on an untagged point
-    assert not check_lc_domination(cand, chal, LCNumber(0), standard_points=tags)
-    assert check_lc_domination(cand, chal, LCNumber(0), standard_points=tags,
-                               clause_two_mode="all")
+    assert not dominates(cand, chal, LCNumber(0), standard=tags)
+    # with no tags, every state counts for clause 2
+    assert dominates(cand, chal, LCNumber(0))
 
 
 def test_lc_domination_rational_risks():
     # plain rationals in place of Levi-Civita risks: clause 2 compares
     # 1 with 1/2 without lifting either side
-    assert check_lc_domination([F(1), F(1)], [F(1), F(1, 2)], 0)
-    assert not check_lc_domination([F(1), F(1)], [F(1), F(1)], 0)
+    assert dominates([F(1), F(1)], [F(1), F(1, 2)])
+    assert not dominates([F(1), F(1)], [F(1), F(1)])
 
 
 def test_lc_agrees_with_rational_domination():
     # lifting rational risks to the larger field preserves the verdict
-    problem = fp2()
-    cand = [LCNumber(v) for v in risk_vector(problem, ALWAYS_A2)]
-    chal = [LCNumber(v) for v in risk_vector(problem, ALWAYS_A1)]
-    for epsilon in (F(0), F(1, 2), F(1)):
-        rational = check_domination(
-            DominationQuery(problem, ALWAYS_A2, epsilon=epsilon), ALWAYS_A1)
-        lifted = check_lc_domination(cand, chal, epsilon)
-        assert rational == lifted
+    cand = risk_vector(fp2(), ALWAYS_A2)
+    chal = risk_vector(fp2(), ALWAYS_A1)
+    for epsilon in (F(0), F(1, 2), F(1), F(3, 2)):
+        lifted = dominates([LCNumber(v) for v in cand], [LCNumber(v) for v in chal], epsilon)
+        assert dominates(cand, chal, epsilon) == lifted
+
+
+def textbook_domination(cand, chal, epsilon, standard):
+    """Clause 1 at every state, and the risks differ at some tagged state."""
+    tags = standard if standard is not None else [True] * len(cand)
+    return (all(d <= c - epsilon for c, d in zip(cand, chal))
+            and any(d != c for c, d, tagged in zip(cand, chal, tags) if tagged))
+
+
+@hst.composite
+def risk_pairs(draw):
+    n = draw(hst.integers(1, 5))
+    rational = hst.fractions(min_value=-3, max_value=3, max_denominator=6)
+    cand = draw(hst.lists(rational, min_size=n, max_size=n))
+    # offsets at or above epsilon make clause 1 hold often enough to matter
+    offset = hst.one_of(hst.just(F(0)), hst.fractions(min_value=-1, max_value=2,
+                                                      max_denominator=4))
+    chal = [c - draw(offset) for c in cand]
+    standard = draw(hst.one_of(hst.none(), hst.lists(hst.booleans(), min_size=n, max_size=n)))
+    epsilon = draw(hst.one_of(hst.just(F(0)), hst.fractions(min_value=0, max_value=1,
+                                                            max_denominator=4)))
+    return cand, chal, epsilon, standard
+
+
+@settings(max_examples=300, deadline=None)
+@given(risk_pairs())
+def test_dominates_is_the_textbook_definition(case):
+    cand, chal, epsilon, standard = case
+    expected = textbook_domination(cand, chal, epsilon, standard)
+    assert dominates(cand, chal, epsilon, standard) == expected
+    lifted_cand = [LCNumber(v) for v in cand]
+    lifted_chal = [LCNumber(v) for v in chal]
+    assert dominates(lifted_cand, lifted_chal, epsilon, standard) == expected
+    assert dominates(lifted_cand, lifted_chal, LCNumber(epsilon), standard) == expected

@@ -63,6 +63,13 @@ def test_risk_index_out_of_range():
         risk(fp1(), rule(F(1, 2)), 5)
 
 
+@pytest.mark.parametrize("index", [True, False, 1.0, F(1)], ids=repr)
+def test_risk_refuses_an_index_that_is_not_an_int(index):
+    # bool is an int subclass, but True is no state index (it read state 1)
+    with pytest.raises(IndexOutOfRange):
+        risk(fp1(), rule(F(1, 2)), index)
+
+
 def reference_risks(model, loss, rule_rows):
     """sum_x P_s(x) sum_a delta(x, a) L(s, a) at every state, from the raw tables."""
     return tuple(sum(p_x * sum(d * l_a for d, l_a in zip(rule_rows[x], loss_row))

@@ -27,10 +27,9 @@ from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
 import lcbayes.priors
-from lcbayes.admissibility import max_uniform_improvement
 from lcbayes.decision import (FiniteProblem, Prior, Procedure, problem_from_json,
                               procedure_from_json_dict, risk_vector)
-from lcbayes.priors import classify, minimal_posterior_scores
+from lcbayes.priors import classify, max_uniform_improvement, minimal_posterior_scores
 from lcbayes.ratlp import LEQ, EQ, LPProblem, solve_lp
 
 

@@ -37,9 +37,9 @@ def test_equality_and_upper_bound():
     sol = solve_lp(LPProblem.build([2, 3], [[1, 1], [1, 0]], ["=", "<="], [1, F(1, 4)]))
     assert sol.x == (F(0), F(1))
     assert sol.objective_value == 3
-    # an absent upper bound is no upper bound
-    assert LPProblem.build([1], [[1]], ["<="], [1], upper=[None]) == \
-        LPProblem.build([1], [[1]], ["<="], [1])
+    # an upper bound is a row: build takes no upper bounds
+    with pytest.raises(TypeError):
+        LPProblem.build([1], [[1]], ["<="], [1], upper=[None])
 
 
 def test_free_variable():
@@ -97,8 +97,7 @@ def test_dimension_mismatch():
     ({"rhs": [-2]}, "row 0 has a negative right-hand side"),
     # b = 0 and b_eta = -1: negative for every eta > 0
     ({"rhs": [0], "rhs_eta": [-1]}, "row 0 has a negative right-hand side"),
-    ({"upper": [F(1, 4)]}, "upper bounds are not supported"),
-], ids=["geq", "negative-rhs", "negative-eta-part", "upper-bound"])
+], ids=["geq", "negative-rhs", "negative-eta-part"])
 def test_build_refuses_other_shapes(kwargs, message):
     args = {"objective": [1], "rows": [[1]], "relations": ["<="], "rhs": [1], **kwargs}
     with pytest.raises(MalformedProblem, match=message):
