@@ -20,7 +20,7 @@ Subpackages by capability:
   game's two readers, ``check_admissible`` and ``max_uniform_improvement``,
   under the names the benchmark's tracer spans.
 * :mod:`lcbayes.families` - closed-form location and boundary families,
-  prior regularity, pushdowns of Levi-Civita priors with their Bayes-risk
+  one prior-regularity check for Gaussian and finite priors, pushdowns of Levi-Civita priors with their Bayes-risk
   consistency check, and grid-scoped admissibility certificates.
 * :mod:`lcbayes.cli` - the ``lcbayes`` command.
 

@@ -201,8 +201,8 @@ def _print_payload(payload, fmt: str):
         # annotate exact standard parts with a decimal approximation
         annotated = []
         for line in lines:
-            key = line.strip().split(" ", 1)[0]
-            if key.rstrip(":") in ("st", "gap_st", "shrinkage_st", "lc_bayes_risk_st"):
+            key = line.strip().split(" ", 1)[0].rstrip(":")
+            if key == "st" or key.endswith("_st"):
                 parts = line.rsplit(" ", 1)
                 approx = _decimal(parts[-1]) if len(parts) == 2 else ""
                 if approx:

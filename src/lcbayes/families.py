@@ -18,10 +18,11 @@ support is parameter points.  Its weights and coordinates may be
 rational or Levi-Civita, and :func:`pushdown` maps it to the standard
 prior on the standard parts of its points.
 
-Gaussian ball masses involve pi and exp; they are handled by enclosing
-rational intervals and the bound exp(-u) >= 1 - u, so only valuations
-and signs (which the enclosures pin down exactly) feed the
-infinitely-larger test used for prior regularity.
+Gaussian ball masses involve pi and exp;
+:meth:`GaussianPrior.ball_mass_bounds` encloses them in rational
+intervals with the bound exp(-u) >= 1 - u, so only valuations and signs
+(which the enclosures pin down exactly) feed the infinitely-larger test
+of prior regularity.  One check serves Gaussian and finite priors alike.
 """
 
 from __future__ import annotations
@@ -64,10 +65,6 @@ def _imul(a: Interval, b: Interval) -> Interval:
     return (a[0] * b[0], a[1] * b[1])
 
 
-def _iinv(a: Interval) -> Interval:
-    return (1 / a[1], 1 / a[0])
-
-
 def _isqrt_bounds(q: Fraction) -> Interval:
     """Rational l <= sqrt(q) <= u with l*l <= q <= u*u, q >= 0."""
     if q < 0:
@@ -100,7 +97,7 @@ def ball_volume_interval(dim: int, radius: Fraction) -> Interval:
 
 def gaussian_normalizer_interval(dim: int) -> Interval:
     """Enclosure of (2*pi)^(-dim/2)."""
-    inv_two_pi = _iinv((2 * PI_LO, 2 * PI_HI))
+    inv_two_pi = (1 / (2 * PI_HI), 1 / (2 * PI_LO))
     result: Interval = (Fraction(1), Fraction(1))
     for _ in range(dim // 2):
         result = _imul(result, inv_two_pi)
@@ -124,7 +121,7 @@ Probe = Tuple[Tuple[Fraction, ...], Fraction]  # (center coords, radius)
 class RegularityVerdict(Record):
     verdict: str
     witness: Optional[Probe] = None
-    interval: Optional[Tuple[LCNumber, LCNumber]] = None
+    interval: Optional[Tuple[Scalar, Scalar]] = None
 
 
 def default_probes(dim: int) -> Tuple[Probe, ...]:
@@ -134,24 +131,31 @@ def default_probes(dim: int) -> Tuple[Probe, ...]:
     return tuple((center, r) for center in (origin, unit) for r in radii)
 
 
-def _validate_probe(probe: Probe):
-    center, radius = probe
-    if not isinstance(radius, Fraction) or radius <= 0:
-        raise BadProbe(f"probe radius must be a positive rational, got {radius!r}")
+def _regularity(prior, epsilon: Scalar, probes: Sequence[Probe],
+                dim: int) -> RegularityVerdict:
+    """Does a Gaussian or finite prior give every probe ball mass >> epsilon?
 
-
-def _regularity_from_bounds(bounds, epsilon: LCNumber) -> RegularityVerdict:
+    All probes are checked before any mass is read.  A Gaussian mass is an
+    enclosure; a finite prior's exact mass is both of its bounds.
+    """
+    for center, radius in probes:
+        if not isinstance(radius, Fraction) or radius <= 0:
+            raise BadProbe(f"probe radius must be a positive rational, got {radius!r}")
+        if len(center) != dim:
+            raise SupportMismatch(f"a probe center is not in the {dim}-d parameter space")
     indeterminate = None
-    for probe, (lower, upper) in bounds:
-        if much_greater(lower, epsilon):
+    for probe in probes:
+        if isinstance(prior, GaussianPrior):
+            bounds = prior.ball_mass_bounds(*probe)
+        else:
+            bounds = (ball_mass(prior, *probe),) * 2
+        if much_greater(bounds[0], epsilon):
             continue
-        if not much_greater(upper, epsilon):
-            return RegularityVerdict(NOT_REGULAR, witness=probe,
-                                     interval=(lower, upper))
+        if not much_greater(bounds[1], epsilon):
+            return RegularityVerdict(NOT_REGULAR, probe, bounds)
         if indeterminate is None:
-            indeterminate = RegularityVerdict(INDETERMINATE, witness=probe,
-                                              interval=(lower, upper))
-    return indeterminate if indeterminate is not None else RegularityVerdict(REGULAR)
+            indeterminate = RegularityVerdict(INDETERMINATE, probe, bounds)
+    return indeterminate or RegularityVerdict(REGULAR)
 
 
 # ----------------------------------------------------------------------
@@ -185,11 +189,28 @@ class GaussianPrior(Record):
 
     scale: LCNumber
 
+    def ball_mass_bounds(self, center: Sequence[Fraction],
+                         radius: Fraction) -> Tuple[LCNumber, LCNumber]:
+        """Exact-enclosure bounds on the mass of the ball B(center, radius).
+
+        With d = len(center), density <= (2 pi k^2)^(-d/2) everywhere, and
+        on the ball density >= (2 pi k^2)^(-d/2) * (1 - R^2/(2 k^2)) with
+        R = ||center|| + radius, via exp(-u) >= 1 - u.
+        """
+        dim = len(center)
+        inv_scale = self.scale.inverse()
+        vol = ball_volume_interval(dim, radius)
+        norm = gaussian_normalizer_interval(dim)
+        scale_term = inv_scale ** dim  # k^(-d), exact LC
+        r_hi = _norm_upper_bound(center) + radius
+        correction = 1 - Fraction(r_hi * r_hi, 2) * inv_scale ** 2
+        lower = (vol[0] * norm[0]) * scale_term * correction
+        upper = (vol[1] * norm[1]) * scale_term
+        return lower, upper
+
 
 class NormalLocationLinear:
     """d-dimensional location estimation with linear rules x -> c*x."""
-
-    name = "normal-location"
 
     def __init__(self, dim: int):
         if dim < 1:
@@ -215,25 +236,7 @@ class NormalLocationLinear:
         s2 = scale * scale
         return s2 / (s2 + 1)
 
-    def ball_mass_bounds(self, center: Sequence[Fraction], radius: Fraction,
-                         prior: GaussianPrior) -> Tuple[LCNumber, LCNumber]:
-        """Exact-enclosure bounds on the prior mass of the ball B(center, radius).
 
-        density <= (2 pi k^2)^(-d/2) everywhere, and on the ball
-        density >= (2 pi k^2)^(-d/2) * (1 - R^2/(2 k^2)) with
-        R = ||center|| + radius, via exp(-u) >= 1 - u.
-        """
-        _validate_probe((tuple(center), radius))
-        scale = prior.scale
-        vol = ball_volume_interval(self.dim, radius)
-        norm = gaussian_normalizer_interval(self.dim)
-        scale_term = scale.inverse() ** self.dim  # k^(-d), exact LC
-        r_hi = _norm_upper_bound(center) + radius
-        inv_scale_sq = scale.inverse() ** 2
-        correction = 1 - Fraction(r_hi * r_hi, 2) * inv_scale_sq
-        lower = (vol[0] * norm[0]) * scale_term * correction
-        upper = (vol[1] * norm[1]) * scale_term
-        return lower, upper
 
 
 def check_epsilon_regular_normal(dim: int, scale: LCNumber, epsilon: LCNumber,
@@ -247,15 +250,10 @@ def check_epsilon_regular_normal(dim: int, scale: LCNumber, epsilon: LCNumber,
     positive rational constants, they share valuation and the verdict is
     never Indeterminate for monomial infinite scales.
     """
-    family = NormalLocationLinear(dim)
-    prior = GaussianPrior(scale)
-    if probes is None:
-        probes = default_probes(dim)
-    for probe in probes:
-        _validate_probe(probe)
-    bounds = [(probe, family.ball_mass_bounds(probe[0], probe[1], prior))
-              for probe in probes]
-    return _regularity_from_bounds(bounds, epsilon)
+    if dim < 1:
+        raise ValueError("dimension must be >= 1")
+    return _regularity(GaussianPrior(scale), epsilon,
+                       default_probes(dim) if probes is None else probes, dim)
 
 
 DIM2_DISCREPANCY_NOTE = (
@@ -344,7 +342,6 @@ class BernoulliBoundary:
     makes the infinitesimal-point-prior Bayes risk an exact square.
     """
 
-    name = "bernoulli-boundary"
     dim = 1
 
     @staticmethod
@@ -457,23 +454,6 @@ def _prior_bayes_risk(family, params, prior_spec) -> Scalar:
     raise TypeError(f"unsupported prior specification {type(prior_spec).__name__}")
 
 
-def _prior_regularity(family, prior_spec, epsilon: LCNumber,
-                      probes: Sequence[Probe]) -> RegularityVerdict:
-    if isinstance(prior_spec, GaussianPrior):
-        return check_epsilon_regular_normal(family.dim, prior_spec.scale,
-                                            epsilon, probes)
-    # finite support: ball masses are exact, lower = upper; much_greater
-    # reads the sign of a Levi-Civita mass, so a rational one is lifted
-    bounds = []
-    for probe in probes:
-        _validate_probe(probe)
-        mass = ball_mass(prior_spec, *probe)
-        if not isinstance(mass, LCNumber):
-            mass = LCNumber(mass, epsilon.order)
-        bounds.append((probe, (mass, mass)))
-    return _regularity_from_bounds(bounds, epsilon)
-
-
 def blyth_certificate(family, params, prior_spec, epsilon: LCNumber,
                       challengers: Sequence, probes: Optional[Sequence[Probe]] = None
                       ) -> BlythCertificate:
@@ -482,7 +462,7 @@ def blyth_certificate(family, params, prior_spec, epsilon: LCNumber,
         probes = default_probes(family.dim)
     challengers = list(challengers)
     candidate_risk = _prior_bayes_risk(family, params, prior_spec)
-    regularity = _prior_regularity(family, prior_spec, epsilon, probes)
+    regularity = _regularity(prior_spec, epsilon, probes, family.dim)
     reason = None
     for i, challenger in enumerate(challengers):
         if not candidate_risk <= _prior_bayes_risk(family, challenger, prior_spec) + epsilon:

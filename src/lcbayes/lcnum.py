@@ -23,7 +23,8 @@ place where two term lists differ.  No result keeps more than
 :class:`TooManyTerms` instead of running on.  A power raises
 :class:`CoefficientTooWide` before any multiplication of its
 square-and-multiply loop whose product, or whose final leading
-coefficient, could pass :data:`MAX_COEFF_BITS` bits.
+coefficient, could pass :data:`MAX_COEFF_BITS` bits, or whose work
+could pass :data:`MAX_PRODUCT_WORK`.
 """
 
 from __future__ import annotations
@@ -42,6 +43,13 @@ MAX_TERMS = 2 * 257
 # widest (2,218 bits) of tier-1, the demos, the example reports and the
 # lc-reports benchmark, and past the 14,284 bits str() prints by default.
 MAX_COEFF_BITS = 2 ** 14
+# The most work one product of a power may take, as terms(a) * terms(b) *
+# the widest coefficient bits of a plus those of b: over 700x the most
+# (21,951) that tier-1, the demos, the example reports and the lc-reports
+# benchmark need.  A squaring of 513 terms of 31-bit integers sits at the
+# bound and takes about 0.6 s (Python 3.11, 2-core Xeon VM);
+# (3 + eps^(1/64))^4096 at order 8 stops before its 257-term squaring.
+MAX_PRODUCT_WORK = 2 ** 24
 
 Rational = Union[int, Fraction]
 Term = Tuple[Fraction, Fraction]  # (exponent, coefficient)
@@ -59,7 +67,8 @@ class TooManyTerms(ArithmeticError):
 
 
 class CoefficientTooWide(ArithmeticError):
-    """A power's coefficient would pass :data:`MAX_COEFF_BITS` bits."""
+    """A power's coefficient would pass :data:`MAX_COEFF_BITS` bits, or one
+    of its products would pass :data:`MAX_PRODUCT_WORK`."""
 
 
 class LCParseError(ValueError):
@@ -92,7 +101,8 @@ def _log2_floor(coeff: Fraction) -> int:
 
 
 def _capped_product(a: "LCNumber", b: "LCNumber") -> "LCNumber":
-    """``a * b``, refused when it could hold a coefficient past the cap.
+    """``a * b``, refused when it could hold a coefficient past the cap or
+    take more than :data:`MAX_PRODUCT_WORK`.
 
     Each coefficient of the product sums products of one coefficient of
     ``a`` and one of ``b``, the widest with over ``wa + wb`` bits.
@@ -100,6 +110,9 @@ def _capped_product(a: "LCNumber", b: "LCNumber") -> "LCNumber":
     wa, wb = (max((_log2_floor(c) for _, c in x.terms), default=0) for x in (a, b))
     if wa + wb > MAX_COEFF_BITS:
         raise CoefficientTooWide(f"a coefficient would pass {MAX_COEFF_BITS} bits")
+    if len(a.terms) * len(b.terms) * (wa + wb) > MAX_PRODUCT_WORK:
+        raise CoefficientTooWide(f"a product of {len(a.terms)} by {len(b.terms)} terms "
+                                 f"of up to {wa + wb} bits would pass the work bound")
     return a * b
 
 
@@ -470,28 +483,30 @@ def leq_approx(a: Union[LCNumber, Rational], b) -> bool:
     return a <= b or approx_eq(a, b)
 
 
-def much_greater(x: LCNumber, y) -> bool:
+def much_greater(x: Union[LCNumber, Rational], y) -> bool:
     """True iff gamma * x > y for every standard rational gamma > 0.
 
     Decided on the truncated representation: x must be positive and y
     either nonpositive or of strictly larger valuation (smaller magnitude
     scale).  For y <= 0 the quantified condition holds vacuously for any
-    positive x; that reading is adopted here.
+    positive x; that reading is adopted here.  Either side may be rational.
     """
-    y_lc = y if isinstance(y, LCNumber) else LCNumber(y, x.order)
+    x, y = (v if isinstance(v, LCNumber) else LCNumber(v) for v in (x, y))
     if x._sign() <= 0:
         return False
-    if y_lc._sign() <= 0:
+    if y._sign() <= 0:
         return True
-    return y_lc.valuation() > x.valuation()
+    return y.valuation() > x.valuation()
 
 
-def refute_much_greater(x: LCNumber, y: LCNumber) -> Fraction:
+def refute_much_greater(x: Union[LCNumber, Rational], y) -> Fraction:
     """A standard rational gamma with gamma * x <= y.
 
     Only defined when ``much_greater(x, y)`` is false with x, y > 0; this
     is the explicit counterexample to the universally quantified claim.
+    Either side may be rational.
     """
+    x, y = (v if isinstance(v, LCNumber) else LCNumber(v) for v in (x, y))
     if x._sign() <= 0 or y._sign() <= 0:
         raise ValueError("witness production requires x > 0 and y > 0")
     if much_greater(x, y):

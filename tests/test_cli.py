@@ -434,6 +434,17 @@ def test_text_format(capsys):
     assert "{" not in out.split("\n")[0]
 
 
+@pytest.mark.parametrize("argv,keys", [
+    (["example", "normal-location", "--dim", "2"], {"gap_st", "shrinkage_st"}),
+    (["example", "bernoulli-boundary", "--order", "4"], {"lc_bayes_risk_st"}),
+    (["lc", "eval", "1/3 + eps"], {"st"})])
+def test_text_format_annotates_each_standard_part(capsys, argv, keys):
+    # each standard part, and no other value, gets a decimal approximation
+    assert main(["--format", "text"] + argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert {line.split()[0] for line in lines if "(~ " in line} == keys
+
+
 def test_lc_eval_past_the_term_cap_exits_2_quickly(capsys):
     # 800,001 exponents k/100000 fill the order-8 window; the division stops at the cap
     start = time.perf_counter()
@@ -458,11 +469,11 @@ def test_lc_eval_fine_reciprocal_is_correct_or_rejected(capsys):
 @pytest.mark.parametrize("expr", ["(" * 400 + "1" + ")" * 400, "0" + "-" * 3000 + "1",
                                   "9" * 5000, "2^20000", "2^16384", "3^10000000",
                                   "3^100000000", "(3+eps^1/64)^16384",
-                                  "(1+2^100*eps^1/64)^1024"])
+                                  "(1+2^100*eps^1/64)^1024", "(3+eps^1/64)^4096"])
 def test_lc_eval_outsized_input_exits_2(capsys, expr):
     # nesting past the recursion limit, ints past Python's digit limit, and
-    # powers past the coefficient cap, which stop before the multiplication
-    # that could pass it
+    # powers past the coefficient cap or the work bound, which stop before
+    # the multiplication that could pass it
     start = time.perf_counter()
     assert main(["lc", "eval", expr]) == 2
     assert time.perf_counter() - start < 1

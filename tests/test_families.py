@@ -8,12 +8,13 @@ import pytest
 from lcbayes.decision import Prior, SupportMismatch
 from lcbayes.families import (NOT_REGULAR, REGULAR, BadProbe,
                               BernoulliBoundary, GaussianPrior,
-                              NormalLocationLinear, NotInfinite, ball_mass,
+                              NormalLocationLinear, NotInfinite,
+                              RegularityVerdict, ball_mass,
                               ball_volume_interval, bernoulli_boundary_report,
                               blyth_certificate, check_epsilon_regular_normal,
                               default_probes, gaussian_normalizer_interval,
                               normal_location_report)
-from lcbayes.lcnum import LCNumber, eps, st
+from lcbayes.lcnum import LCNumber, eps, much_greater, st
 
 ORDER = 8
 
@@ -150,12 +151,69 @@ def test_bad_probe_rejected():
                                      probes=[((F(0),), F(0))])
 
 
+def test_probe_of_another_dimension_is_refused():
+    # a Gaussian prior refuses a probe center outside the family's space,
+    # as a finite prior's ball_mass does, rather than measure it in its own
+    scale = eps().inverse()
+    for center in ((F(0), F(0), F(0)), (), (F(1), F(0))):
+        with pytest.raises(SupportMismatch):
+            check_epsilon_regular_normal(1, scale, regularity_epsilon(), probes=[(center, F(1))])
+    with pytest.raises(SupportMismatch):
+        check_epsilon_regular_normal(2, scale, regularity_epsilon(), probes=[((F(0),), F(1))])
+    with pytest.raises(SupportMismatch):
+        blyth_certificate(NormalLocationLinear(1), LCNumber(1), GaussianPrior(scale),
+                          regularity_epsilon(), [F(1)], probes=[((F(0), F(5)), F(1))])
+
+
+def test_every_probe_is_checked_before_a_verdict():
+    # the first probe is already NotRegular; the bad one after it still raises
+    scale = eps().inverse()
+    not_regular = default_probes(3)[0]
+    assert check_epsilon_regular_normal(3, scale, regularity_epsilon(),
+                                        probes=[not_regular]).verdict == NOT_REGULAR
+    for bad in (((F(0),) * 3, F(0)), ((F(0),) * 3, F(-1)), ((F(0),) * 3, 1)):
+        with pytest.raises(BadProbe):
+            check_epsilon_regular_normal(3, scale, regularity_epsilon(),
+                                         probes=[not_regular, bad])
+    with pytest.raises(SupportMismatch):
+        check_epsilon_regular_normal(3, scale, regularity_epsilon(),
+                                     probes=[not_regular, ((F(0),), F(1))])
+    far = Prior.at((F(5),))
+    with pytest.raises(BadProbe):
+        blyth_certificate(NormalLocationLinear(1), F(1), far, eps(), [F(1)],
+                          probes=[((F(0),), F(1)), ((F(0),), F(0))])
+
+
+def test_gaussian_and_finite_priors_share_the_verdicts():
+    # through blyth_certificate, both prior kinds give the same verdict types:
+    # Regular, or NotRegular at the first default probe with its mass bounds
+    scale = eps().inverse()
+    epsilon = regularity_epsilon()
+    spread = Prior(support=((F(0),), (F(1),)), weights=(F(1, 2), F(1, 2)))
+    far = Prior.at((F(5),))
+    cases = [(NormalLocationLinear(1), GaussianPrior(scale), REGULAR),
+             (NormalLocationLinear(1), spread, REGULAR),
+             (NormalLocationLinear(3), GaussianPrior(scale), NOT_REGULAR),
+             (NormalLocationLinear(1), far, NOT_REGULAR)]
+    for family, prior, expected in cases:
+        verdict = blyth_certificate(family, F(1), prior, epsilon, [F(1)]).regularity
+        assert isinstance(verdict, RegularityVerdict)
+        assert verdict.verdict == expected
+        if expected == REGULAR:
+            assert verdict.witness is None and verdict.interval is None
+        else:
+            assert verdict.witness == default_probes(family.dim)[0]
+            lower, upper = verdict.interval
+            assert 0 <= lower <= upper and not much_greater(upper, epsilon)
+    assert blyth_certificate(NormalLocationLinear(1), F(1), far, epsilon,
+                             [F(1)]).regularity.interval == (0, 0)
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_mass_bounds_ordered_and_share_valuation(dim):
-    family = NormalLocationLinear(dim)
     prior = GaussianPrior(eps().inverse())
     for center, radius in default_probes(dim):
-        lower, upper = family.ball_mass_bounds(center, radius, prior)
+        lower, upper = prior.ball_mass_bounds(center, radius)
         assert lower <= upper
         assert lower > 0
         assert lower.valuation() == upper.valuation() == dim

@@ -248,6 +248,19 @@ def test_much_greater_vacuous_for_nonpositive_y():
     assert not much_greater(LCNumber(0), -ONE)
 
 
+def test_much_greater_takes_a_rational_x():
+    # an int or Fraction x reads as its lift, as a rational y already does
+    for x in (1, F(1, 3), 0, -2, F(-1, 2)):
+        for y in (E, E.inverse(), LCNumber(F(1, 2)), -E, 0, F(1, 4), -1):
+            assert much_greater(x, y) == much_greater(LCNumber(x), y)
+    assert much_greater(F(1), E) and much_greater(1, E)
+    assert not much_greater(F(1), E.inverse()) and not much_greater(3, 2)
+    for x, y in ((F(1), E.inverse()), (2, LCNumber(3)), (F(1, 2), E.inverse() * 5)):
+        assert refute_much_greater(x, y) == refute_much_greater(LCNumber(x), y)
+    assert refute_much_greater(2, LCNumber(3)) == F(3, 4)
+    assert refute_much_greater(F(1), E.inverse()) == 1
+
+
 @given(nonzero_lc, nonzero_lc)
 def test_much_greater_quantifier_agreement(x, y):
     if much_greater(x, y):
