@@ -7,15 +7,19 @@ L[state][action], all exact rationals.  Procedures are nonrandomized
 
 Risk sum_x P(x|theta) sum_a delta(x,a) L(theta,a) is exact.  Risk, Bayes
 scores and the prior game all read the products P(x|theta) L(theta,a)
-from one per-problem table, :attr:`FiniteProblem.scores`.  Bayes risk is
-generic in the prior's scalar field: rational weights give a rational,
-Levi-Civita weights give a Levi-Civita number, because
+from one per-problem table, :attr:`FiniteProblem.integer_scores`: their
+integer numerators over one positive denominator.  A sum over the table
+is a sum of integers, and only its result becomes a ``Fraction``, with
+one gcd, where a ``Fraction`` per multiply-add would take one each.
+Bayes risk is generic in the prior's scalar field: rational weights give
+a rational, Levi-Civita weights give a Levi-Civita number, because
 :class:`lcbayes.lcnum.LCNumber` mixes with Fractions.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Sequence, Tuple, Union
@@ -111,6 +115,12 @@ def _label(value, what: str) -> str:
     return value
 
 
+def over_one_denominator(values: Sequence[Rational]) -> Tuple[list, int]:
+    """Integer numerators of ``values`` over their least common denominator."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 class FiniteProblem(Record):
     state_labels: Tuple[str, ...]
     observation_labels: Tuple[str, ...]
@@ -186,12 +196,36 @@ class FiniteProblem(Record):
                              tuple(state_coords), tuple(action_values))
 
     @cached_property
+    def integer_scores(self) -> Tuple[Tuple[Tuple[Tuple[int, ...], ...], ...], int]:
+        """(numerators, denominator): P_s(x) * L(s, a) is
+        numerators[x][a][s] / denominator, the products that risk, Bayes
+        scores and the prior game read.  Built once from the frozen fields.
+
+        The denominator is the least common denominator of the model times
+        that of the loss, not in lowest terms with the numerators.  It is
+        at most the product of the distinct denominators of the entries: k
+        distinct model and l distinct loss denominators of at most
+        :data:`MAX_LITERAL_DIGITS` digits give it at most (k + l) times
+        that many digits, and a numerator is at most the denominator times
+        the largest loss.
+        """
+        model, model_den = over_one_denominator([v for row in self.model for v in row])
+        loss, loss_den = over_one_denominator([v for row in self.loss for v in row])
+        n_obs, n_act = self.n_observations, self.n_actions
+        states = range(self.n_states)
+        numerators = tuple(tuple(tuple(model[s * n_obs + x] * loss[s * n_act + a]
+                                       for s in states)
+                                 for a in range(n_act))
+                           for x in range(n_obs))
+        return numerators, model_den * loss_den
+
+    @cached_property
     def scores(self) -> Tuple[Tuple[Tuple[Fraction, ...], ...], ...]:
-        """scores[x][a][s] = P_s(x) * L(s, a), the products that risk, Bayes
-        scores and the prior game read.  Built once from the frozen fields."""
-        return tuple(tuple(tuple(self.model[s][x] * self.loss[s][a] for s in range(self.n_states))
-                           for a in range(self.n_actions))
-                     for x in range(self.n_observations))
+        """scores[x][a][s] = P_s(x) * L(s, a) as Fractions, a view of
+        :attr:`integer_scores` that the finite path itself never builds."""
+        numerators, den = self.integer_scores
+        return tuple(tuple(tuple(Fraction(v, den) for v in column) for column in row)
+                     for row in numerators)
 
     @property
     def n_states(self) -> int:
@@ -339,13 +373,19 @@ def risk(problem: FiniteProblem, procedure: Procedure, state_index: int) -> Frac
 
 
 def risk_vector(problem: FiniteProblem, procedure: Procedure) -> Tuple[Fraction, ...]:
-    """Expected loss at every state: sum over (x, a) of delta(x, a) * scores[x][a]."""
-    totals = [Fraction(0)] * problem.n_states
-    for rule_row, score_row in zip(check_procedure(problem, procedure), problem.scores):
-        for w, column in zip(rule_row, score_row):
+    """Expected loss at every state: sum over (x, a) of delta(x, a) * scores[x][a],
+    summed in integers over one denominator, one Fraction per state."""
+    rows = check_procedure(problem, procedure)
+    weights, weight_den = over_one_denominator([w for row in rows for w in row])
+    numerators, den = problem.integer_scores
+    totals = [0] * problem.n_states
+    n_act = problem.n_actions
+    for x, score_row in enumerate(numerators):
+        for w, column in zip(weights[x * n_act:(x + 1) * n_act], score_row):
             if w:
                 totals = [t + w * v for t, v in zip(totals, column)]
-    return tuple(totals)
+    den *= weight_den
+    return tuple(Fraction(t, den) for t in totals)
 
 
 def bayes_risk(problem: FiniteProblem, procedure: Procedure, prior: Prior):

@@ -37,7 +37,8 @@ from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from ._record import Record
-from .decision import FiniteProblem, Prior, Procedure, ShapeMismatch, risk_vector
+from .decision import (FiniteProblem, Prior, Procedure, ShapeMismatch, over_one_denominator,
+                       risk_vector)
 from .ratlp import EQ, LEQ, CertificateError, LPProblem, solve_lp
 
 
@@ -79,17 +80,27 @@ def minimal_posterior_scores(problem: FiniteProblem, prior: Prior):
     """For each observation x, min_a sum_theta pi(theta) scores[x][a][theta].
 
     Returns (scores per observation, optimal-action tuples per observation).
-    Works for rational and Levi-Civita prior weights alike.
+    Works for rational and Levi-Civita prior weights alike: the weights
+    multiply the integer numerators of :attr:`FiniteProblem.integer_scores`,
+    rational ones lifted to integers over one denominator first, and one
+    positive scale turns each observation's minimum into its score, so the
+    optimal actions are those of the unscaled sums.
     """
     weights = {}
     for idx, w in prior.items(problem.n_states):
         weights[idx] = weights.get(idx, 0) + w
+    states, values = list(weights), list(weights.values())
+    weight_den = 1
+    if all(isinstance(w, (int, Fraction)) for w in values):
+        values, weight_den = over_one_denominator(values)
+    numerators, den = problem.integer_scores
+    scale = Fraction(1, den * weight_den)
     scores, argmins = [], []
-    for score_row in problem.scores:
-        per_action = [sum(w * column[s] for s, w in weights.items())
+    for score_row in numerators:
+        per_action = [sum(w * column[s] for s, w in zip(states, values))
                       for column in score_row]
         best = min(per_action)
-        scores.append(best)
+        scores.append(best * scale)
         argmins.append(tuple(a for a, v in enumerate(per_action) if v == best))
     return scores, argmins
 
@@ -106,8 +117,8 @@ def synthesize_prior(problem: FiniteProblem, procedure: Procedure) -> Admissibil
     LP variables: pi'_theta >= 0 and a free m_x per observation, with
     pi_theta = eta + pi'_theta summing to 1; maximize sum_x m_x -
     sum_theta pi_theta r(theta, cand) subject to m_x <= sum_theta
-    pi_theta scores[x][a][theta] for every (x, a), the rows of
-    :attr:`FiniteProblem.scores`.  In pi' the rows read sum pi' = 1 - n
+    pi_theta scores[x][a][theta] for every (x, a), read off
+    :attr:`FiniteProblem.integer_scores`.  In pi' the rows read sum pi' = 1 - n
     eta and m_x - sum_theta pi'_theta scores[x][a][theta] <= eta times
     the row's sum, so eta sits on the right-hand side only, and the LP
     objective omits the constant -eta sum_theta r(theta, cand).  At the
@@ -122,14 +133,15 @@ def synthesize_prior(problem: FiniteProblem, procedure: Procedure) -> Admissibil
     objective = [-target[s] for s in range(n_states)] + [Fraction(1)] * n_obs
     rows = [[Fraction(1)] * n_states + [Fraction(0)] * n_obs]
     relations, rhs, rhs_eta = [EQ], [Fraction(1)], [Fraction(-n_states)]
-    for x, score_row in enumerate(problem.scores):
+    numerators, den = problem.integer_scores
+    for x, score_row in enumerate(numerators):
         for column in score_row:
-            row = [-v for v in column] + [Fraction(0)] * n_obs
+            row = [Fraction(-v, den) for v in column] + [Fraction(0)] * n_obs
             row[n_states + x] = Fraction(1)
             rows.append(row)
             relations.append(LEQ)
             rhs.append(Fraction(0))
-            rhs_eta.append(sum(column))
+            rhs_eta.append(Fraction(sum(column), den))
 
     lower: list[Optional[Fraction]] = [Fraction(0)] * n_states + [None] * n_obs
     lp = LPProblem.build(objective, rows, relations, rhs, lower=lower, rhs_eta=rhs_eta)

@@ -26,10 +26,12 @@ duals stay rational; the primal point and the objective value come as a
 standard part and an eta coefficient.
 
 An independent checker, :func:`check_certificate`, re-validates the
-optimum (primal and dual feasibility, a duality gap of exactly 0) in
-exact :class:`fractions.Fraction` arithmetic from the original problem
-data, sharing nothing with the integer tableau; :func:`solve_lp` runs it
-on every solve before returning.
+optimum (primal and dual feasibility, a duality gap of exactly 0) from
+the original problem data, sharing no code with the integer tableau;
+:func:`solve_lp` runs it on every solve before returning.  It is exact
+too: it puts x, x_eta, the duals and each row over their own
+denominators, sums integer numerators, and builds one
+:class:`fractions.Fraction` per row and per column to compare.
 
 The intended instances are small (up to a few hundred columns), so a
 dense exact tableau is the right trade: no tolerances, no conditioning
@@ -39,6 +41,7 @@ questions.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple, Union
 
@@ -359,15 +362,23 @@ def _require(condition: bool, message: str):
         raise CertificateError(message)
 
 
-def _dot(coeffs: Sequence[Fraction], values: Sequence[Fraction]) -> Fraction:
-    return sum((a * v for a, v in zip(coeffs, values) if a and v), Fraction(0))
+def _numerators(values: Sequence[Rational]) -> Tuple[list[int], int]:
+    """Integer numerators of ``values`` over their least common denominator."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _dot(a: Tuple[list[int], int], b: Tuple[list[int], int]) -> Fraction:
+    """The dot product of two vectors, each as its :func:`_numerators`."""
+    return Fraction(sum(map(operator.mul, a[0], b[0])), a[1] * b[1])
 
 
 def check_certificate(p: LPProblem, sol: LPSolution):
     """Re-validate an optimum from the original data; raises CertificateError.
 
     Checks primal feasibility, dual feasibility and a duality gap of
-    exactly 0, all in (standard part, eta coefficient) pairs.
+    exactly 0, all in (standard part, eta coefficient) pairs.  Each sum
+    is one of integer numerators over the product of two denominators.
     """
     _require(None not in (sol.x, sol.x_eta, sol.objective_value, sol.objective_value_eta,
                           sol.row_duals),
@@ -375,27 +386,38 @@ def check_certificate(p: LPProblem, sol: LPSolution):
     x, x_eta, y = sol.x, sol.x_eta, sol.row_duals
     _require(len(x) == len(x_eta) == p.n_vars(), "primal vector has wrong length")
     _require(len(y) == len(p.rows), "dual multipliers have wrong length")
+    xs, xe, ys = _numerators(x), _numerators(x_eta), _numerators(y)
+    rows = [_numerators(row) for row in p.rows]
 
     # primal feasibility and value
     for j, v in enumerate(zip(x, x_eta)):
         if p.lower[j] is not None:
             _require(v >= (0, 0), f"variable {j} below lower bound")
-    for i, row in enumerate(p.rows):
-        lhs, b = (_dot(row, x), _dot(row, x_eta)), (p.rhs[i], p.rhs_eta[i])
+    for i, row in enumerate(rows):
+        lhs, b = (_dot(row, xs), _dot(row, xe)), (p.rhs[i], p.rhs_eta[i])
         _require(lhs <= b if p.relations[i] == LEQ else lhs == b, f"row {i} violated")
     value = (sol.objective_value, sol.objective_value_eta)
-    _require((_dot(p.objective, x), _dot(p.objective, x_eta)) == value,
-             "objective value mismatch")
+    c = _numerators(p.objective)
+    _require((_dot(c, xs), _dot(c, xe)) == value, "objective value mismatch")
 
     # dual feasibility: y >= 0 on <= rows, y . A_j >= c_j, with equality if x_j is free
     for i, rel in enumerate(p.relations):
         if rel == LEQ:
             _require(y[i] >= 0, f"dual sign wrong on <= row {i}")
-    for j, c in enumerate(p.objective):
-        column = _dot([row[j] for row in p.rows], y)
+    # y . A_j summed apart for each distinct row denominator: the prior game
+    # has two, where one over all rows would widen every numerator
+    sums: dict[int, list[int]] = {}
+    for (row, den), w in zip(rows, ys[0]):
+        if w:
+            total = sums.get(den, [0] * len(row))
+            sums[den] = [t + w * a for t, a in zip(total, row)]
+    for j, c_j in enumerate(p.objective):
+        column = sum((Fraction(total[j], den * ys[1]) for den, total in sums.items()),
+                     Fraction(0))
         if p.lower[j] is None:
-            _require(column == c, f"dual constraint {j} not tight for free variable")
+            _require(column == c_j, f"dual constraint {j} not tight for free variable")
         else:
-            _require(column >= c, f"dual constraint {j} violated")
+            _require(column >= c_j, f"dual constraint {j} violated")
 
-    _require((_dot(y, p.rhs), _dot(y, p.rhs_eta)) == value, "duality gap nonzero")
+    _require((_dot(ys, _numerators(p.rhs)), _dot(ys, _numerators(p.rhs_eta))) == value,
+             "duality gap nonzero")

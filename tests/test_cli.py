@@ -482,6 +482,16 @@ def test_lc_eval_outsized_input_exits_2(capsys, expr):
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
+def test_lc_eval_square_past_the_coefficient_cap_names_the_cap(capsys):
+    # a 4,000-digit coefficient is inside Python's digit limit, but its
+    # square would pass the coefficient cap: the product is refused before
+    # it is taken, with the cap's own message
+    assert main(["lc", "eval", "(1+" + "7" * 4000 + "*eps)^2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: a coefficient would pass 16384 bits\n"
+
+
 def test_lc_eval_text_format_with_a_huge_standard_part(capsys):
     assert main(["--format", "text", "lc", "eval", "10^400"]) == 0
     st_line = next(line for line in capsys.readouterr().out.splitlines()

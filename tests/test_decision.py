@@ -1,6 +1,7 @@
 """Risk, Bayes risk, mixtures and derandomization on finite problems."""
 
 import importlib
+import math
 import random
 import sys
 from fractions import Fraction as F
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import lcbayes.priors
 from lcbayes.decision import (FiniteProblem, IndexOutOfRange, InvalidProblem,
                               NoEmbedding, Prior, Procedure, SchemaError,
                               ShapeMismatch, SupportMismatch, WeightError,
@@ -17,7 +19,8 @@ from lcbayes.decision import (FiniteProblem, IndexOutOfRange, InvalidProblem,
                               procedure_to_json_dict, procedures_from_json,
                               risk, risk_vector)
 from lcbayes.lcnum import LCNumber, eps, st
-from lcbayes.priors import minimal_posterior_scores
+from lcbayes.priors import classify, minimal_posterior_scores
+from lcbayes.ratlp import LPProblem, solve_lp
 
 
 def fp1():
@@ -138,6 +141,88 @@ def test_score_table_matches_reference_on_benchmark_problems(monkeypatch, sizes)
                 reference_risks(model, new_loss, procedure.matrix(n_act))
         scores, argmins = minimal_posterior_scores(derived, Prior(tuple(rational)))
         assert (scores, argmins) == reference_posterior_minima(model, new_loss, rational)
+
+
+def reference_game_lp(model, loss, candidate_risks) -> LPProblem:
+    """The floored prior game of synthesize_prior, its rows built from the
+    raw tables with one Fraction per product and per sum."""
+    n_states, n_obs, n_act = len(model), len(model[0]), len(loss[0])
+    objective = [-r for r in candidate_risks] + [F(1)] * n_obs
+    rows = [[F(1)] * n_states + [F(0)] * n_obs]
+    relations, rhs, rhs_eta = ["="], [F(1)], [F(-n_states)]
+    for x in range(n_obs):
+        for a in range(n_act):
+            column = [model[s][x] * loss[s][a] for s in range(n_states)]
+            row = [-v for v in column] + [F(0)] * n_obs
+            row[n_states + x] = F(1)
+            rows.append(row)
+            relations.append("<=")
+            rhs.append(F(0))
+            rhs_eta.append(sum(column))
+    return LPProblem.build(objective, rows, relations, rhs,
+                           lower=[F(0)] * n_states + [None] * n_obs, rhs_eta=rhs_eta)
+
+
+def wide_tables(rng: random.Random, digits: int):
+    """A 3 x 3 x 2 model and loss: each model row over a denominator of its
+    own, each loss entry over another, all of ``digits`` digits."""
+    low = 10 ** (digits - 1)
+    model, loss = [], []
+    for _ in range(3):
+        q = rng.randrange(low, 10 * low)
+        a, b = rng.randrange(1, q // 2), rng.randrange(1, q // 2)
+        model.append([F(a, q), F(b, q), F(q - a - b, q)])
+        dens = [rng.randrange(low, 10 * low) for _ in range(2)]
+        loss.append([F(rng.randrange(1, 10 * d), d) for d in dens])
+    return model, loss
+
+
+def test_wide_denominators_match_reference(monkeypatch):
+    # the integer table's denominator is the product of all nine: about
+    # 2,700 digits here, against 600 for one product of the Fraction table
+    rng = random.Random("wide-denominators")
+    model, loss = wide_tables(rng, 300)
+    dens = [math.lcm(*(v.denominator for v in row)) for row in model]
+    dens += [v.denominator for row in loss for v in row]
+    assert len(set(dens)) == 9 and min(dens) >= 10 ** 280
+    problem = FiniteProblem.build(["s0", "s1", "s2"], ["x0", "x1", "x2"], ["a0", "a1"],
+                                  model, loss)
+    rules = [Procedure.nonrandomized([a // 4, a // 2 % 2, a % 2]) for a in range(8)]
+    rules.append(Procedure.randomized([[F(1, 3), F(2, 3)], [F(5, 7), F(2, 7)], [1, 0]]))
+    for procedure in rules:
+        assert risk_vector(problem, procedure) == reference_risks(model, loss,
+                                                                  procedure.matrix(2))
+    d = rng.randrange(10 ** 299, 10 ** 300)
+    w = F(rng.randrange(1, d // 2), d)
+    rational = [w, F(1, 3), F(2, 3) - w]
+    e = eps()
+    for weights in (rational, [LCNumber(rational[0]) + e, LCNumber(rational[1]) - e,
+                               rational[2]]):
+        assert minimal_posterior_scores(problem, Prior(tuple(weights))) == \
+            reference_posterior_minima(model, loss, weights)
+
+    games = []
+
+    def recording_solve(lp):
+        games.append(lp)
+        return solve_lp(lp)
+
+    monkeypatch.setattr(lcbayes.priors, "solve_lp", recording_solve)
+    verdicts = [classify(problem, procedure) for procedure in rules]
+    monkeypatch.undo()
+    kinds = set()
+    for procedure, verdict, game in zip(rules, verdicts, games):
+        risks = reference_risks(model, loss, procedure.matrix(2))
+        assert verdict.candidate_risks == risks
+        assert game == reference_game_lp(model, loss, risks)
+        improver = reference_risks(model, loss, verdict.improver.matrix(2))
+        slacks = [r - verdict.epsilon_star - d for r, d in zip(risks, improver)]
+        assert min(slacks) >= 0 and sum(slacks) == verdict.total_slack
+        minima, _ = reference_posterior_minima(model, loss, verdict.witness_prior.weights)
+        bayes = sum(w * r for w, r in zip(verdict.witness_prior.weights, risks))
+        assert bayes <= sum(minima) + verdict.epsilon_star
+        kinds.add((verdict.admissible, verdict.extended_admissible))
+    assert kinds == {(True, True), (False, False)}
 
 
 # ----------------------------------------------------------------------

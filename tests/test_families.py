@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from lcbayes.decision import Prior, SupportMismatch
-from lcbayes.families import (NOT_REGULAR, REGULAR, BadProbe,
+from lcbayes.families import (INDETERMINATE, NOT_REGULAR, REGULAR, BadProbe,
                               BernoulliBoundary, GaussianPrior,
                               NormalLocationLinear, NotInfinite,
                               RegularityVerdict, ball_mass,
@@ -182,6 +182,17 @@ def test_every_probe_is_checked_before_a_verdict():
     with pytest.raises(BadProbe):
         blyth_certificate(NormalLocationLinear(1), F(1), far, eps(), [F(1)],
                           probes=[((F(0),), F(1)), ((F(0),), F(0))])
+
+
+def test_indeterminate_verdict_names_the_first_indeterminate_probe():
+    # at a standard scale the enclosure's lower bound 1 - R^2/2 is negative
+    # once R = ||center|| + radius passes sqrt 2, while the upper bound stays
+    # a positive standard number: both probes below are Indeterminate
+    first, second = ((F(0),), F(2)), ((F(1),), F(2))
+    for probes in ([first, second], [second, first]):
+        verdict = check_epsilon_regular_normal(1, LCNumber(1), eps(), probes=probes)
+        assert verdict.verdict == INDETERMINATE
+        assert verdict.witness == probes[0]
 
 
 def test_gaussian_and_finite_priors_share_the_verdicts():

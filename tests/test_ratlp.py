@@ -5,7 +5,10 @@ from fractions import Fraction as F
 
 import pytest
 
+import lcbayes.priors
 import lcbayes.ratlp
+from lcbayes.decision import FiniteProblem, Procedure
+from lcbayes.priors import synthesize_prior
 from lcbayes.ratlp import (CertificateError, LPProblem, MalformedProblem, check_certificate,
                            solve_lp)
 
@@ -130,6 +133,59 @@ def test_checker_rejects_tampered_row_duals():
     for message, duals in cases.items():
         with pytest.raises(CertificateError, match=message):
             check_certificate(p, good.replace(row_duals=duals))
+
+
+def test_checker_rejects_a_short_primal_vector():
+    # maximize x0 subject to x0 + x1 <= 1: x = (1, 0).  Without its last
+    # entry, the 0, the point still fits every row, value and dual check
+    p = LPProblem.build([1, 0], [[1, 1]], ["<="], [1])
+    good = solve_lp(p)
+    assert good.x == (F(1), F(0))
+    for fields in ({"x": good.x[:1]}, {"x_eta": good.x_eta[:1]},
+                   {"x": good.x[:1], "x_eta": good.x_eta[:1]}):
+        with pytest.raises(CertificateError, match="primal vector has wrong length"):
+            check_certificate(p, good.replace(**fields))
+
+
+def twin_state_game(monkeypatch):
+    """The prior game of two states that no observation tells apart, the
+    candidate taking action b (loss 1), and its optimum.  Action a has
+    loss 0 at both states, so the game row of (x, a) reads m_x <= 0."""
+    seen = []
+
+    def recording_solve(lp):
+        seen.append(lp)
+        return solve_lp(lp)
+
+    problem = FiniteProblem.build(["s", "t"], ["x"], ["a", "b"], model=[[1], [1]],
+                                  loss=[[0, 1], [0, 1]])
+    monkeypatch.setattr(lcbayes.priors, "solve_lp", recording_solve)
+    synthesize_prior(problem, Procedure.nonrandomized([1]))
+    monkeypatch.undo()
+    (lp,) = seen
+    assert lp.lower == (0, 0, None)  # pi'_s, pi'_t >= 0 and a free m_x
+    return lp, solve_lp(lp)
+
+
+def test_checker_rejects_a_negative_prior_weight(monkeypatch):
+    lp, good = twin_state_game(monkeypatch)
+    assert good.x == (F(1), F(0), F(0))
+    # moving weight 1 from pi'_t to pi'_s changes no row, the value or a dual
+    # constraint, because the twin states have equal columns: only pi'_t's
+    # lower bound of 0 refuses it
+    bad = good.replace(x=(F(2), F(-1), F(0)))
+    with pytest.raises(CertificateError, match="variable 1 below lower bound"):
+        check_certificate(lp, bad)
+
+
+def test_checker_rejects_a_slack_dual_constraint_on_a_free_variable(monkeypatch):
+    lp, good = twin_state_game(monkeypatch)
+    assert good.row_duals == (F(-1), F(1), F(0))
+    # doubling the dual of the (x, a) row m_x <= 0 keeps every sign, every
+    # pi' column and the duality gap, but prices m_x's column at 2 > 1
+    bad = good.replace(row_duals=(F(-1), F(2), F(0)))
+    with pytest.raises(CertificateError, match="dual constraint 2 not tight for free variable"):
+        check_certificate(lp, bad)
 
 
 # ----------------------------------------------------------------------
