@@ -9,27 +9,31 @@ Commands::
     lcbayes lc eval <expr> [--order N]
 
 Global flags: ``--format json|text`` and ``--order N`` (default 8).
+``example`` and ``lc eval`` also take them after the subcommand, and
+there they win.
 
 Machine output is exact: rationals as "p/q" strings and Levi-Civita
 values in the canonical series syntax; decimal approximations appear
 only in text format.  Identical inputs and flags produce byte-identical
-JSON.  Exit codes: 0 success, 2 malformed input, unknown example, a
-``--dim`` past :data:`MAX_DIM`, a Levi-Civita result past the term or
-coefficient cap, or a result past Python's int-to-text digit limit, 3
-internal certificate failure, 4 division by zero in ``lc eval``.
+JSON.  Exit codes: 0 success, 1 stdout closed before the output was
+written, 2 malformed input, unknown example, a ``--dim`` past
+:data:`MAX_DIM`, a Levi-Civita result past the term or coefficient cap,
+or a result past Python's int-to-text digit limit, 3 internal
+certificate failure (a verdict that fails its LP certificate or
+``classify``'s checks), 4 division by zero in ``lc eval``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .lcnum import (CoefficientTooWide, LCNumber, LCParseError, NotNearStandard,
-                    TooManyTerms, evaluate)
+from .lcnum import CoefficientTooWide, LCNumber, NotNearStandard, TooManyTerms, evaluate
 
 if TYPE_CHECKING:
     from .decision import FiniteProblem, Procedure
@@ -173,7 +177,11 @@ def _render_text(payload, indent: int = 0) -> list[str]:
                 lines.append(f"{pad}{key}:")
                 lines.extend(_render_text(value, indent + 1))
             else:
-                lines.append(f"{pad}{key.ljust(width)}  {value}")
+                line = f"{pad}{key.ljust(width)}  {value}"
+                if key == "st" or key.endswith("_st"):  # an exact standard part: add a decimal
+                    approx = _decimal(str(value).rsplit(" ", 1)[-1])
+                    line = f"{line}  (~ {approx})" if approx else line
+                lines.append(line)
     elif isinstance(payload, list):
         for i, value in enumerate(payload):
             if isinstance(value, (dict, list)):
@@ -194,21 +202,7 @@ def _decimal(value: str) -> str:
 
 
 def _print_payload(payload, fmt: str):
-    if fmt == "json":
-        print(_emit_json(payload))
-    else:
-        lines = _render_text(payload)
-        # annotate exact standard parts with a decimal approximation
-        annotated = []
-        for line in lines:
-            key = line.strip().split(" ", 1)[0].rstrip(":")
-            if key == "st" or key.endswith("_st"):
-                parts = line.rsplit(" ", 1)
-                approx = _decimal(parts[-1]) if len(parts) == 2 else ""
-                if approx:
-                    line = f"{line}  (~ {approx})"
-            annotated.append(line)
-        print("\n".join(annotated))
+    print(_emit_json(payload) if fmt == "json" else "\n".join(_render_text(payload)))
 
 
 # ----------------------------------------------------------------------
@@ -219,14 +213,16 @@ def _print_payload(payload, fmt: str):
 def _cmd_finite(args, fmt: str) -> int:
     """``finite classify`` and ``finite synthesize-prior``.
 
-    Only reading and checking the inputs maps errors to exit 2, so a
-    failure inside the solver is never reported as bad input.  The one
-    other exit 2 is a result too long for Python's int-to-text limit,
-    caught where the payload is written out.
+    Both print verdicts of :func:`lcbayes.priors.classify`: the second
+    runs it on the one procedure its ``--procedure`` names.  Only
+    reading and checking the inputs maps errors to exit 2, so a failure
+    inside the solver is never reported as bad input.  The one other
+    exit 2 is a result too long for Python's int-to-text limit, caught
+    where the payload is written out.
     """
     from .decision import (IndexOutOfRange, SchemaError, ShapeMismatch, check_procedure,
                            problem_from_json, procedures_from_json)
-    from .priors import classify, synthesize_prior
+    from .priors import classify
     from .ratlp import CertificateError
 
     try:
@@ -238,14 +234,13 @@ def _cmd_finite(args, fmt: str) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     classifying = args.subcommand == "classify"
-    if not classifying and not 0 <= args.procedure < len(procedures):
-        print(f"error: procedure index {args.procedure} out of range", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    if not classifying:
+        if not 0 <= args.procedure < len(procedures):
+            print(f"error: procedure index {args.procedure} out of range", file=sys.stderr)
+            return EXIT_BAD_INPUT
+        procedures = procedures[args.procedure:args.procedure + 1]
     try:
-        if classifying:
-            verdicts = [classify(problem, procedure) for procedure in procedures]
-        else:
-            verdict = synthesize_prior(problem, procedures[args.procedure])
+        verdicts = [classify(problem, procedure) for procedure in procedures]
     except CertificateError as exc:
         print(f"internal certificate failure: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATE
@@ -254,7 +249,7 @@ def _cmd_finite(args, fmt: str) -> int:
             payload = [classification_payload(procedure, verdict)
                        for procedure, verdict in zip(procedures, verdicts)]
         else:
-            payload = game_payload(problem, verdict)
+            payload = game_payload(problem, verdicts[0])
     except ValueError as exc:  # an int/str conversion past Python's digit limit
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -288,13 +283,10 @@ def _cmd_lc_eval(args, fmt: str, order: int) -> int:
         value = evaluate(args.expr, order=order)
         payload = {"value": str(value), "order": order}
         payload.update(_st_fields(value))
-    except LCParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
     except RecursionError:
         print("error: expression nested too deeply", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except ValueError as exc:  # an int/str conversion past Python's digit limit
+    except ValueError as exc:  # a parse error, or an int/str conversion past the digit limit
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except ZeroDivisionError:
@@ -332,15 +324,15 @@ def build_parser() -> argparse.ArgumentParser:
     ex = sub.add_parser("example", help="built-in example reports")
     ex.add_argument("name")
     ex.add_argument("--dim", type=int, default=1)
-    ex.add_argument("--order", dest="sub_order", type=int, default=None)
-    ex.add_argument("--format", dest="sub_format", choices=("json", "text"), default=None)
+    ex.add_argument("--order", type=int, default=argparse.SUPPRESS)
+    ex.add_argument("--format", choices=("json", "text"), default=argparse.SUPPRESS)
 
     lc = sub.add_parser("lc", help="Levi-Civita arithmetic")
     lc_sub = lc.add_subparsers(dest="subcommand", required=True)
     ev = lc_sub.add_parser("eval", help="evaluate an expression")
     ev.add_argument("expr")
-    ev.add_argument("--order", dest="sub_order", type=int, default=None)
-    ev.add_argument("--format", dest="sub_format", choices=("json", "text"), default=None)
+    ev.add_argument("--order", type=int, default=argparse.SUPPRESS)
+    ev.add_argument("--format", choices=("json", "text"), default=argparse.SUPPRESS)
     return parser
 
 
@@ -350,9 +342,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse printed its usage and one error line
         return exc.code
-    fmt = getattr(args, "sub_format", None) or args.format
-    order = getattr(args, "sub_order", None)
-    order = args.order if order is None else order
+    fmt, order = args.format, args.order
     if order < 1:
         print("error: --order must be >= 1", file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -373,9 +363,18 @@ def main(argv=None) -> int:
     return EXIT_BAD_INPUT  # pragma: no cover
 
 
-def entry():  # console-script entry point
-    raise SystemExit(main())
+def entry():
+    """The console script and ``python -m lcbayes.cli``: :func:`main`'s exit
+    code, or 1 with nothing on stderr when stdout was closed early."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # point stdout at devnull so the interpreter's last flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    entry()

@@ -219,14 +219,6 @@ class FiniteProblem(Record):
                            for x in range(n_obs))
         return numerators, model_den * loss_den
 
-    @cached_property
-    def scores(self) -> Tuple[Tuple[Tuple[Fraction, ...], ...], ...]:
-        """scores[x][a][s] = P_s(x) * L(s, a) as Fractions, a view of
-        :attr:`integer_scores` that the finite path itself never builds."""
-        numerators, den = self.integer_scores
-        return tuple(tuple(tuple(Fraction(v, den) for v in column) for column in row)
-                     for row in numerators)
-
     @property
     def n_states(self) -> int:
         return len(self.state_labels)

@@ -361,12 +361,6 @@ class LCNumber:
     # order
     # ------------------------------------------------------------------
 
-    def _sign(self) -> int:
-        if not self._terms:
-            return 0
-        lead = self._terms[0][1]
-        return 1 if lead > 0 else -1
-
     def compare(self, other) -> int:
         """Total field order: the sign of the leading term of self - other.
 
@@ -422,25 +416,19 @@ class LCNumber:
     # printing
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _format_exponent(expo: Fraction) -> str:
-        if expo.denominator == 1:
-            return str(expo.numerator)
-        return f"{expo.numerator}/{expo.denominator}"
-
     def __str__(self):
         if not self._terms:
             return "0"
         parts = []
         for i, (expo, coeff) in enumerate(self._terms):
-            mag = -coeff if coeff < 0 else coeff
+            mag = abs(coeff)
             if expo == 0:
                 body = str(mag)
             else:
                 if expo == 1:
                     eps_part = "eps"
                 else:
-                    eps_part = f"eps^{self._format_exponent(expo)}"
+                    eps_part = f"eps^{expo}"
                 body = eps_part if mag == 1 else f"{mag}*{eps_part}"
             if i == 0:
                 parts.append(body if coeff > 0 else f"-{body}")
@@ -492,9 +480,9 @@ def much_greater(x: Union[LCNumber, Rational], y) -> bool:
     positive x; that reading is adopted here.  Either side may be rational.
     """
     x, y = (v if isinstance(v, LCNumber) else LCNumber(v) for v in (x, y))
-    if x._sign() <= 0:
+    if x <= 0:
         return False
-    if y._sign() <= 0:
+    if y <= 0:
         return True
     return y.valuation() > x.valuation()
 
@@ -507,7 +495,7 @@ def refute_much_greater(x: Union[LCNumber, Rational], y) -> Fraction:
     Either side may be rational.
     """
     x, y = (v if isinstance(v, LCNumber) else LCNumber(v) for v in (x, y))
-    if x._sign() <= 0 or y._sign() <= 0:
+    if x <= 0 or y <= 0:
         raise ValueError("witness production requires x > 0 and y > 0")
     if much_greater(x, y):
         raise ValueError("no witness exists: x is infinitely larger than y")

@@ -1,6 +1,8 @@
 """Command-line behavior: output schemas, determinism, exit codes."""
 
 import json
+import os
+import subprocess
 import sys
 import time
 from importlib import resources
@@ -9,10 +11,14 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import lcbayes
+import lcbayes.priors
+import lcbayes.ratlp
 from lcbayes.cli import MAX_DIM, main
 from lcbayes.decision import FiniteProblem, problem_to_json
 from lcbayes.lcnum import MAX_TERMS, evaluate
 
+SRC = Path(lcbayes.__file__).resolve().parent.parent
 
 @pytest.fixture()
 def fp1_files(tmp_path):
@@ -139,6 +145,41 @@ def test_synthesize_prior_bad_index(capsys, fp2_files):
     code = main(["finite", "synthesize-prior", problem,
                  "--procedures", procedures, "--procedure", "5"])
     assert code == 2
+
+
+@pytest.mark.parametrize("command", [["classify"], ["synthesize-prior", "--procedure", "0"]],
+                         ids=["classify", "synthesize-prior"])
+def test_certificate_failure_exits_3(capsys, monkeypatch, fp2_files, command):
+    def refuse(problem, solution):
+        raise lcbayes.ratlp.CertificateError("refused")
+
+    monkeypatch.setattr(lcbayes.ratlp, "check_certificate", refuse)
+    problem, procedures = fp2_files
+    assert main(["finite", command[0], problem, "--procedures", procedures,
+                 *command[1:]]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal certificate failure:")
+
+
+@pytest.mark.parametrize("command", [["classify"], ["synthesize-prior", "--procedure", "0"]],
+                         ids=["classify", "synthesize-prior"])
+def test_verdict_that_fails_the_checks_exits_3(capsys, monkeypatch, fp2_files, command):
+    # S* off by 1: the improver's slacks no longer sum to it, so classify
+    # refuses the verdict, and neither subcommand prints it
+    honest = lcbayes.priors.check_admissible
+
+    def corrupted(problem, procedure):
+        verdict = honest(problem, procedure)
+        return verdict.replace(total_slack=verdict.total_slack + 1)
+
+    monkeypatch.setattr(lcbayes.priors, "check_admissible", corrupted)
+    problem, procedures = fp2_files
+    assert main(["finite", command[0], problem, "--procedures", procedures,
+                 *command[1:]]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal certificate failure:")
 
 
 @pytest.mark.parametrize("command", [["classify"], ["synthesize-prior", "--procedure", "1"]],
@@ -426,6 +467,19 @@ def test_global_order_flag(capsys):
     assert json.loads(out)["value"] == "1 - eps + eps^2"
 
 
+def test_order_after_the_subcommand_wins(capsys):
+    code, out = run_json(capsys, ["--order", "2", "lc", "eval", "1/(1+eps)", "--order", "3"])
+    assert code == 0
+    assert json.loads(out)["order"] == 3
+
+
+def test_format_after_the_subcommand_wins(capsys):
+    code, out = run_json(capsys, ["--format", "text", "example", "bernoulli-boundary",
+                                  "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["example"] == "bernoulli-boundary"
+
+
 def test_text_format(capsys):
     code = main(["--format", "text", "example", "normal-location", "--dim", "1"])
     out = capsys.readouterr().out
@@ -510,3 +564,20 @@ def test_usage_error_returns_2_without_raising(capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage:")
     assert sum("error:" in line for line in err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [["lc", "eval", "1/(1+eps)"],
+                                  ["example", "bernoulli-boundary", "--order", "16"]],
+                         ids=["lc-eval", "bernoulli-boundary"])
+def test_closed_stdout_exits_1_quietly(argv):
+    # a pipe with its read end closed: the first write fails with EPIPE
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run([sys.executable, "-m", "lcbayes.cli", *argv], stdout=write_end,
+                                stderr=subprocess.PIPE, text=True, timeout=60,
+                                env=dict(os.environ, PYTHONPATH=str(SRC)))
+    finally:
+        os.close(write_end)
+    assert result.returncode == 1
+    assert result.stderr == ""

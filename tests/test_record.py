@@ -56,18 +56,18 @@ def test_fields_cannot_be_assigned_or_deleted():
 
 def test_cached_scores_stay_immutable():
     p = problem()
-    assert "scores" not in vars(p)
-    table = p.scores
-    assert vars(p)["scores"] is table and p.scores is table  # filled once
+    assert "integer_scores" not in vars(p)
+    table = p.integer_scores
+    assert vars(p)["integer_scores"] is table and p.integer_scores is table  # filled once
     with pytest.raises(AttributeError):
-        p.scores = ()
+        p.integer_scores = ()
     with pytest.raises(AttributeError):
-        del p.scores
+        del p.integer_scores
     with pytest.raises(AttributeError):
         p.loss = ()
     with pytest.raises(AttributeError):
         del p.model
-    assert p.scores is table and p.loss == ((F(0), F(1)), (F(1), F(0)))
+    assert p.integer_scores is table and p.loss == ((F(0), F(1)), (F(1), F(0)))
 
 
 def test_equality_and_hash_go_by_type_and_fields():
@@ -80,7 +80,7 @@ def test_equality_and_hash_go_by_type_and_fields():
     assert Prior.uniform(2) != Prior.uniform(2).replace(support=(0, 1))
     # a cached score table is no field
     cached, fresh = problem(), problem()
-    cached.scores
+    cached.integer_scores
     assert cached == fresh and hash(cached) == hash(fresh)
     assert len({Procedure.nonrandomized([0]), Procedure.nonrandomized([0]),
                 Procedure.nonrandomized([1])}) == 2
@@ -125,13 +125,13 @@ def test_replace_validates_afresh():
 
 def test_replace_carries_no_cached_scores():
     p = problem()
-    p.scores
+    p.integer_scores
     copy = p.replace()
-    assert "scores" not in vars(copy) and copy == p
+    assert "integer_scores" not in vars(copy) and copy == p
     derived = p.replace(loss=((F(2), F(1)), (F(1), F(0))))
-    # scores[x][a] lists P_s(x) L(s, a) over the states s
-    assert derived.scores[0][0] == (F(2), F(1))
-    assert p.scores[0][0] == (F(0), F(1))
+    # integer_scores[0][x][a] lists the numerators of P_s(x) L(s, a) over the states s
+    assert derived.integer_scores[0][0][0] == (2, 1)
+    assert p.integer_scores[0][0][0] == (0, 1)
 
 
 def test_constructor_refuses_missing_unknown_and_repeated_fields():
