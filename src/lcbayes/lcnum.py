@@ -44,11 +44,12 @@ MAX_TERMS = 2 * 257
 # lc-reports benchmark, and past the 14,284 bits str() prints by default.
 MAX_COEFF_BITS = 2 ** 14
 # The most work one product of a power may take, as terms(a) * terms(b) *
-# the widest coefficient bits of a plus those of b: over 700x the most
-# (21,951) that tier-1, the demos, the example reports and the lc-reports
-# benchmark need.  A squaring of 513 terms of 31-bit integers sits at the
-# bound and takes about 0.6 s (Python 3.11, 2-core Xeon VM);
-# (3 + eps^(1/64))^4096 at order 8 stops before its 257-term squaring.
+# the bits of a's coefficients over their common denominator plus those of
+# b's: over 700x the most (21,951) that tier-1, the demos, the example
+# reports and the lc-reports benchmark need, outside the tests of the
+# bounds.  A squaring of 513 terms of 31-bit integers sits at the bound and
+# takes about 0.6 s (Python 3.11, 2-core Xeon VM); (3 + eps^(1/64))^4096
+# at order 8 stops before its 257-term squaring.
 MAX_PRODUCT_WORK = 2 ** 24
 
 Rational = Union[int, Fraction]
@@ -100,14 +101,25 @@ def _log2_floor(coeff: Fraction) -> int:
     return max(abs(coeff.numerator), coeff.denominator).bit_length() - 1
 
 
+def _width(x: "LCNumber") -> int:
+    """floor(log2) of the wider of the widest coefficient numerator of ``x``,
+    its coefficients over their least common denominator, and that
+    denominator."""
+    den = math.lcm(*(c.denominator for _, c in x.terms))
+    top = max((abs(c.numerator) * (den // c.denominator) for _, c in x.terms), default=0)
+    return max(top, den).bit_length() - 1
+
+
 def _capped_product(a: "LCNumber", b: "LCNumber") -> "LCNumber":
     """``a * b``, refused when it could hold a coefficient past the cap or
     take more than :data:`MAX_PRODUCT_WORK`.
 
-    Each coefficient of the product sums products of one coefficient of
-    ``a`` and one of ``b``, the widest with over ``wa + wb`` bits.
+    Over each operand's common denominator, a coefficient of the product
+    sums products of one integer numerator of ``a`` and one of ``b``, over
+    the product of the two denominators: the widest numerator product, or
+    that denominator, has over ``wa + wb`` bits.
     """
-    wa, wb = (max((_log2_floor(c) for _, c in x.terms), default=0) for x in (a, b))
+    wa, wb = _width(a), _width(b)
     if wa + wb > MAX_COEFF_BITS:
         raise CoefficientTooWide(f"a coefficient would pass {MAX_COEFF_BITS} bits")
     if len(a.terms) * len(b.terms) * (wa + wb) > MAX_PRODUCT_WORK:

@@ -117,38 +117,40 @@ def synthesize_prior(problem: FiniteProblem, procedure: Procedure) -> Admissibil
     LP variables: pi'_theta >= 0 and a free m_x per observation, with
     pi_theta = eta + pi'_theta summing to 1; maximize sum_x m_x -
     sum_theta pi_theta r(theta, cand) subject to m_x <= sum_theta
-    pi_theta scores[x][a][theta] for every (x, a), read off
-    :attr:`FiniteProblem.integer_scores`.  In pi' the rows read sum pi' = 1 - n
-    eta and m_x - sum_theta pi'_theta scores[x][a][theta] <= eta times
-    the row's sum, so eta sits on the right-hand side only, and the LP
-    objective omits the constant -eta sum_theta r(theta, cand).  At the
-    optimum m_x equals the posterior-score minimum, so the value is
+    pi_theta scores[x][a][theta] for every (x, a).  In pi' the rows read
+    sum pi' = 1 - n eta and m_x - sum_theta pi'_theta scores[x][a][theta]
+    <= eta times the row's sum, so eta sits on the right-hand side only,
+    and the LP objective omits the constant -eta sum_theta r(theta, cand).
+    Each (x, a) row is taken times den, the denominator of
+    :attr:`FiniteProblem.integer_scores`, so it holds that table's integers.
+    At the optimum m_x equals the posterior-score minimum, so the value is
     min_{D} r(pi, D) - r(pi, cand), maximized over the floored priors.
-    The duals of the (x, a) rows are the improver D, which
+    den times the duals of the (x, a) rows is the improver D, which
     :func:`lcbayes.ratlp.check_certificate` has verified with the solve.
     """
     target = risk_vector(problem, procedure)
     n_states, n_obs, n_act = problem.n_states, problem.n_observations, problem.n_actions
     # variables: pi'_theta, then m_x
-    objective = [-target[s] for s in range(n_states)] + [Fraction(1)] * n_obs
-    rows = [[Fraction(1)] * n_states + [Fraction(0)] * n_obs]
-    relations, rhs, rhs_eta = [EQ], [Fraction(1)], [Fraction(-n_states)]
+    objective = [-target[s] for s in range(n_states)] + [1] * n_obs
+    rows = [[1] * n_states + [0] * n_obs]
+    relations, rhs, rhs_eta = [EQ], [1], [-n_states]
     numerators, den = problem.integer_scores
     for x, score_row in enumerate(numerators):
         for column in score_row:
-            row = [Fraction(-v, den) for v in column] + [Fraction(0)] * n_obs
-            row[n_states + x] = Fraction(1)
+            row = [-v for v in column] + [0] * n_obs
+            row[n_states + x] = den
             rows.append(row)
             relations.append(LEQ)
-            rhs.append(Fraction(0))
-            rhs_eta.append(Fraction(sum(column), den))
+            rhs.append(0)
+            rhs_eta.append(sum(column))
 
-    lower: list[Optional[Fraction]] = [Fraction(0)] * n_states + [None] * n_obs
+    lower: list[Optional[int]] = [0] * n_states + [None] * n_obs
     lp = LPProblem.build(objective, rows, relations, rhs, lower=lower, rhs_eta=rhs_eta)
     sol = solve_lp(lp)
-    # the duals of the (x, a) rows, after the sum-to-1 row, are D's delta(x, a)
+    # D's delta(x, a) is den times the dual of the (x, a) row, after the sum-to-1 row
     improver = Procedure("randomized", matrix_rows=tuple(
-        tuple(sol.row_duals[1 + x * n_act:1 + (x + 1) * n_act]) for x in range(n_obs)))
+        tuple(den * y for y in sol.row_duals[1 + x * n_act:1 + (x + 1) * n_act])
+        for x in range(n_obs)))
     return AdmissibilityVerdict(epsilon_star=-sol.objective_value,
                                 total_slack=sum(target) - sol.objective_value_eta,
                                 witness_prior=Prior(tuple(sol.x[:n_states])),

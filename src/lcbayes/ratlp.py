@@ -9,9 +9,9 @@ no feasible point or an unbounded objective raises
 optimum.
 
 Two-phase primal simplex with Bland's anti-cycling rule, pivoting
-fraction-free: each tableau row is a list of Python ints over one
-positive row denominator, so a pivot costs integer multiplications and
-one gcd per updated row instead of a Fraction per entry.  The tableau is
+fraction-free: each tableau row is one integer equation with no common
+factor, so a pivot costs integer multiplications and one gcd per
+updated row instead of a Fraction per entry.  The tableau is
 built from :class:`LPProblem` in one pass, straight to those integer
 rows.  The reduced-cost row of each phase is priced once and then
 updated by every pivot like any other row.
@@ -29,8 +29,8 @@ An independent checker, :func:`check_certificate`, re-validates the
 optimum (primal and dual feasibility, a duality gap of exactly 0) from
 the original problem data, sharing no code with the integer tableau;
 :func:`solve_lp` runs it on every solve before returning.  It is exact
-too: it puts x, x_eta, the duals and each row over their own
-denominators, sums integer numerators, and builds one
+too: it puts x, x_eta, the duals, each row and the dual columns y A
+over their own denominators, sums integer numerators, and builds one
 :class:`fractions.Fraction` per row and per column to compare.
 
 The intended instances are small (up to a few hundred columns), so a
@@ -150,18 +150,10 @@ class LPSolution(Record):
 _RHS, _RHS_ETA = -2, -1  # the last two entries of a tableau row
 
 
-def _lowest_terms(nums: list[int], den: int) -> Tuple[list[int], int]:
-    """Divide a row's numerators and its positive denominator by their gcd."""
-    g = math.gcd(den, *nums)
-    if g == 1:
-        return nums, den
-    return [a // g for a in nums], den // g
-
-
-def _eliminate(row: list[int], den: int, f: int,
-               pivot_row: list[int], pc: int) -> Tuple[list[int], int]:
-    """row/den minus (f/den) times the pivot row pivot_row/pc, in lowest terms."""
-    return _lowest_terms([a * pc - f * p for a, p in zip(row, pivot_row)], den * pc)
+def _primitive(nums: list[int]) -> list[int]:
+    """An integer equation divided by the gcd of its entries."""
+    g = math.gcd(*nums)
+    return nums if g == 1 else [a // g for a in nums]
 
 
 class _Tableau:
@@ -172,15 +164,16 @@ class _Tableau:
     artificial for an ``=`` row, basic at the start since b + eta * b_eta
     >= 0.
 
-    Row i is a list of Python ints: the numerators of its coefficients,
-    then those of its right-hand side b and of its eta coefficient b_eta,
-    all over the one positive row denominator ``den[i]``.  A pivot
-    rescales only the rows with a nonzero entry in the entering column
-    and leaves each in lowest terms, so no per-entry Fraction is built.
-    The reduced-cost row z_j - c_j of the running phase, with the
-    objective value's standard part and eta coefficient last, is stored
-    the same way over ``obj_den``: it is priced once when a phase starts
-    and then updated by each pivot like any other row.
+    Row i is one integer equation with no common factor, in Python ints:
+    its coefficients, then its right-hand side b and eta coefficient
+    b_eta.  Its coefficient on its basic variable is positive and is its
+    denominator.  A pivot rescales only the rows with a nonzero entry in
+    the entering column and divides each by its gcd, so no per-entry
+    Fraction is built.  The reduced-cost row z_j - c_j of the running
+    phase, with the objective value's standard part and eta coefficient
+    last, is reduced the same way with ``obj_den`` as one more entry: it
+    is priced once when a phase starts and then updated by each pivot
+    like any other row.
     """
 
     def __init__(self, problem: LPProblem):
@@ -189,7 +182,6 @@ class _Tableau:
         m = len(problem.rows)
         self.n_cols = self.n_struct + m
         self.rows: list[list[int]] = []
-        self.den: list[int] = []
         self.basis: list[int] = []
         self.art_cols: set[int] = set()
         for i, (coeffs, rel, b, b_eta) in enumerate(zip(problem.rows, problem.relations,
@@ -203,7 +195,6 @@ class _Tableau:
             if rel == EQ:
                 self.art_cols.add(col)
             self.rows.append(row)
-            self.den.append(den)
             self.basis.append(col)
         self.row_ids = list(range(m))  # live tableau row -> problem row
 
@@ -222,14 +213,14 @@ class _Tableau:
         """Set the reduced-cost row z_j - c_j of ``cost`` under the current basis."""
         den = math.lcm(*(c.denominator for c in cost))
         obj = [-c.numerator * (den // c.denominator) for c in cost] + [0, 0]
-        for row, d, col in zip(self.rows, self.den, self.basis):
+        for row, col in zip(self.rows, self.basis):
             cb = cost[col]
             if cb:
-                scale = cb.denominator * d
+                scale = cb.denominator * row[col]
                 total = math.lcm(den, scale)
                 grow, weight = total // den, cb.numerator * (total // scale)
-                obj, den = _lowest_terms([z * grow + weight * a for z, a in zip(obj, row)],
-                                         total)
+                *obj, den = _primitive([z * grow + weight * a for z, a in zip(obj, row)]
+                                       + [total])
         self.obj, self.obj_den = obj, den
 
     def objective_value(self) -> Tuple[Fraction, Fraction]:
@@ -242,15 +233,15 @@ class _Tableau:
         pc = p[col]
         if pc < 0:
             p, pc = [-a for a in p], -pc
-        p, pc = _lowest_terms(p, pc)  # the pivot row divided by its pivot entry
-        self.rows[row], self.den[row] = p, pc
+            self.rows[row] = p
         for i, r in enumerate(self.rows):
             f = r[col]
             if f and i != row:
-                self.rows[i], self.den[i] = _eliminate(r, self.den[i], f, p, pc)
+                self.rows[i] = _primitive([a * pc - f * b for a, b in zip(r, p)])
         f = self.obj[col]
         if f:
-            self.obj, self.obj_den = _eliminate(self.obj, self.obj_den, f, p, pc)
+            *self.obj, self.obj_den = _primitive([a * pc - f * b for a, b in zip(self.obj, p)]
+                                                 + [self.obj_den * pc])
         self.basis[row] = col
 
     def run(self, cost: Sequence[Fraction], allowed) -> bool:
@@ -268,7 +259,7 @@ class _Tableau:
             if entering is None:
                 return True
             # minimum ratio (b_i + eta b_eta_i) / a_ie over a_ie > 0, compared
-            # lexicographically; the row denominator cancels
+            # lexicographically; the row's basic coefficient cancels
             leaving = None
             for i, r in enumerate(self.rows):
                 a = r[entering]
@@ -293,7 +284,7 @@ class _Tableau:
                 target = next((j for j in range(self.n_cols)
                                if j not in self.art_cols and self.rows[i][j] != 0), None)
                 if target is None:
-                    del self.rows[i], self.den[i], self.basis[i], self.row_ids[i]
+                    del self.rows[i], self.basis[i], self.row_ids[i]
                     continue
                 self.pivot(i, target)
             i += 1
@@ -304,9 +295,9 @@ class _Tableau:
         """Per variable: the basic solution's standard part (``part`` _RHS)
         or eta coefficient (_RHS_ETA)."""
         values = [Fraction(0)] * self.n_struct
-        for row, den, col in zip(self.rows, self.den, self.basis):
+        for row, col in zip(self.rows, self.basis):
             if col < self.n_struct:
-                values[col] = Fraction(row[part], den)
+                values[col] = Fraction(row[part], row[col])
         cols = iter(values)  # x = x+ - x- for a free x
         return tuple(next(cols) - next(cols) if free else next(cols) for free in self.free)
 
@@ -404,16 +395,15 @@ def check_certificate(p: LPProblem, sol: LPSolution):
     for i, rel in enumerate(p.relations):
         if rel == LEQ:
             _require(y[i] >= 0, f"dual sign wrong on <= row {i}")
-    # y . A_j summed apart for each distinct row denominator: the prior game
-    # has two, where one over all rows would widen every numerator
-    sums: dict[int, list[int]] = {}
-    for (row, den), w in zip(rows, ys[0]):
+    # y . A_j over the rows' least common denominator, 1 for integer rows
+    den = math.lcm(*(d for _, d in rows))
+    totals = [0] * p.n_vars()
+    for (row, d), w in zip(rows, ys[0]):
         if w:
-            total = sums.get(den, [0] * len(row))
-            sums[den] = [t + w * a for t, a in zip(total, row)]
+            w *= den // d
+            totals = [t + w * a for t, a in zip(totals, row)]
     for j, c_j in enumerate(p.objective):
-        column = sum((Fraction(total[j], den * ys[1]) for den, total in sums.items()),
-                     Fraction(0))
+        column = Fraction(totals[j], den * ys[1])
         if p.lower[j] is None:
             _require(column == c_j, f"dual constraint {j} not tight for free variable")
         else:

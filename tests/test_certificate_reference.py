@@ -103,7 +103,9 @@ SHIFTS = (F(1), F(-1, 2), F(1, 3))
 
 def tampered(solution: LPSolution):
     """The solution with one entry of x, x_eta or y, or one part of the
-    value, moved by each of SHIFTS."""
+    value, moved by each of SHIFTS; and with one entry of x, x_eta or y
+    halved, which keeps its sign (a small dual of a scaled row moved by
+    -1/2 turns negative, and never reaches the free-variable check)."""
     for name in ("x", "x_eta", "row_duals"):
         vector = getattr(solution, name)
         for i in range(len(vector)):
@@ -111,6 +113,9 @@ def tampered(solution: LPSolution):
                 moved = list(vector)
                 moved[i] += shift
                 yield solution.replace(**{name: tuple(moved)})
+            moved = list(vector)
+            moved[i] /= 2
+            yield solution.replace(**{name: tuple(moved)})
     for name in ("objective_value", "objective_value_eta"):
         for shift in SHIFTS:
             yield solution.replace(**{name: getattr(solution, name) + shift})

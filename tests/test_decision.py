@@ -145,20 +145,24 @@ def test_score_table_matches_reference_on_benchmark_problems(monkeypatch, sizes)
 
 def reference_game_lp(model, loss, candidate_risks) -> LPProblem:
     """The floored prior game of synthesize_prior, its rows built from the
-    raw tables with one Fraction per product and per sum."""
+    raw tables with one Fraction per product and per sum, each (x, a) row
+    times den, the model tables' least common denominator times the
+    loss's."""
     n_states, n_obs, n_act = len(model), len(model[0]), len(loss[0])
+    den = (math.lcm(*(v.denominator for row in model for v in row))
+           * math.lcm(*(v.denominator for row in loss for v in row)))
     objective = [-r for r in candidate_risks] + [F(1)] * n_obs
     rows = [[F(1)] * n_states + [F(0)] * n_obs]
     relations, rhs, rhs_eta = ["="], [F(1)], [F(-n_states)]
     for x in range(n_obs):
         for a in range(n_act):
             column = [model[s][x] * loss[s][a] for s in range(n_states)]
-            row = [-v for v in column] + [F(0)] * n_obs
-            row[n_states + x] = F(1)
+            row = [-den * v for v in column] + [F(0)] * n_obs
+            row[n_states + x] = F(den)
             rows.append(row)
             relations.append("<=")
             rhs.append(F(0))
-            rhs_eta.append(sum(column))
+            rhs_eta.append(den * sum(column))
     return LPProblem.build(objective, rows, relations, rhs,
                            lower=[F(0)] * n_states + [None] * n_obs, rhs_eta=rhs_eta)
 

@@ -389,6 +389,28 @@ def test_power_stops_at_the_coefficient_cap():
     assert (ONE + E) ** n == series(*[(k, math.comb(n, k)) for k in range(DEFAULT_ORDER + 1)])
 
 
+def test_power_of_distinct_denominators_is_refused_before_its_product(monkeypatch):
+    # each coefficient has about 7,640 bits, but their sums over one
+    # denominator have 33 times that: the square must be refused unbuilt
+    x = series(*[(F(k, 8), F(1, 10 ** 2299 + 2 * k + 1)) for k in range(33)])
+
+    def no_product(a, b):
+        raise AssertionError("the product was taken")
+
+    monkeypatch.setattr(LCNumber, "__mul__", no_product)
+    with pytest.raises(CoefficientTooWide):
+        x ** 2
+
+
+@pytest.mark.parametrize("x", [
+    # 64 x 64 terms of 2,048 bits: the work is 2^24, exactly the bound
+    series(*[(F(k, 8), 2 ** 2048 + k) for k in range(64)]),
+    # a 16,384-bit square: exactly the coefficient cap
+    LCNumber(2 ** 8192 + 1)])
+def test_power_at_the_product_bounds(x):
+    assert x ** 2 == x * x
+
+
 def test_power_matches_repeated_product():
     for base in (series((0, F(3, 2)), (1, 1)), series((-1, 1), (0, -2), (F(1, 2), 7)),
                  series((0, F(-5, 3)), (F(2, 3), F(1, 4))), LCNumber(0)):
