@@ -111,6 +111,19 @@ def minimal_bayes_risk(problem: FiniteProblem, prior: Prior):
     return sum(scores)
 
 
+def _undominated_rows(problem: FiniteProblem) -> list[Tuple[int, int]]:
+    """The (x, a) pairs, in order, whose integer score column at x no other
+    action's column dominates.  Action b dominates a at x when its column is
+    entrywise <= a's and either differs from it or b < a, so of equal
+    columns the lowest index stays.  Every left-out pair has a dominator
+    that stays, because the relation is transitive."""
+    numerators, _ = problem.integer_scores
+    return [(x, a) for x, score_row in enumerate(numerators)
+            for a, column in enumerate(score_row)
+            if not any((b < a or other != column) and all(o <= v for o, v in zip(other, column))
+                       for b, other in enumerate(score_row))]
+
+
 def synthesize_prior(problem: FiniteProblem, procedure: Procedure) -> AdmissibilityVerdict:
     """Witness prior, epsilon*, S* and improver for one candidate.
 
@@ -127,6 +140,27 @@ def synthesize_prior(problem: FiniteProblem, procedure: Procedure) -> Admissibil
     min_{D} r(pi, D) - r(pi, cand), maximized over the floored priors.
     den times the duals of the (x, a) rows is the improver D, which
     :func:`lcbayes.ratlp.check_certificate` has verified with the solve.
+
+    Only the rows of :func:`_undominated_rows` are built: an (x, a) whose
+    score column some b's column dominates gets no row, and 0 in D.  The
+    LP is the full game's with those rows and their slack columns left
+    out, and it takes the same pivots.  If b's integer column at x is
+    entrywise <= a's and differs from it, the (x, a) row's slack is the
+    (x, b) row's plus sum_theta pi_theta (numerators[x][a][theta] -
+    numerators[x][b][theta]): nonnegative integers, one of them positive,
+    times weights pi_theta >= eta, so at least eta.  That slack is
+    positive at every feasible point, so it never leaves the basis nor
+    ties a ratio test; as a basic column it has reduced cost 0, so it
+    never enters, and its dual is 0.  A pivot updates each row from the
+    pivot row alone, and leaving the column out keeps the relative order
+    of the others, on which Bland's entering rule and the basis-index
+    tie-break act, so every other row, the reduced-cost row and every
+    pivot are the full game's.  Of two equal columns the rows are equal,
+    their ratios tie, and the lower index's slack, the lower basis index,
+    wins every such tie, so the higher twin's slack stays basic, equal to
+    the lower's, and plays no part.  Hence x, x_eta, the game value and
+    the kept duals are the full game's, and the left-out duals are the
+    full game's zeros.
     """
     target = risk_vector(problem, procedure)
     n_states, n_obs, n_act = problem.n_states, problem.n_observations, problem.n_actions
@@ -135,22 +169,24 @@ def synthesize_prior(problem: FiniteProblem, procedure: Procedure) -> Admissibil
     rows = [[1] * n_states + [0] * n_obs]
     relations, rhs, rhs_eta = [EQ], [1], [-n_states]
     numerators, den = problem.integer_scores
-    for x, score_row in enumerate(numerators):
-        for column in score_row:
-            row = [-v for v in column] + [0] * n_obs
-            row[n_states + x] = den
-            rows.append(row)
-            relations.append(LEQ)
-            rhs.append(0)
-            rhs_eta.append(sum(column))
+    kept = _undominated_rows(problem)
+    for x, a in kept:
+        column = numerators[x][a]
+        row = [-v for v in column] + [0] * n_obs
+        row[n_states + x] = den
+        rows.append(row)
+        relations.append(LEQ)
+        rhs.append(0)
+        rhs_eta.append(sum(column))
 
     lower: list[Optional[int]] = [0] * n_states + [None] * n_obs
     lp = LPProblem.build(objective, rows, relations, rhs, lower=lower, rhs_eta=rhs_eta)
     sol = solve_lp(lp)
     # D's delta(x, a) is den times the dual of the (x, a) row, after the sum-to-1 row
-    improver = Procedure("randomized", matrix_rows=tuple(
-        tuple(den * y for y in sol.row_duals[1 + x * n_act:1 + (x + 1) * n_act])
-        for x in range(n_obs)))
+    matrix = [[Fraction(0)] * n_act for _ in range(n_obs)]
+    for (x, a), y in zip(kept, sol.row_duals[1:]):
+        matrix[x][a] = den * y
+    improver = Procedure("randomized", matrix_rows=tuple(map(tuple, matrix)))
     return AdmissibilityVerdict(epsilon_star=-sol.objective_value,
                                 total_slack=sum(target) - sol.objective_value_eta,
                                 witness_prior=Prior(tuple(sol.x[:n_states])),

@@ -11,7 +11,10 @@ optimum.
 Two-phase primal simplex with Bland's anti-cycling rule, pivoting
 fraction-free: each tableau row is one integer equation with no common
 factor, so a pivot costs integer multiplications and one gcd per
-updated row instead of a Fraction per entry.  The tableau is
+updated row instead of a Fraction per entry.  A pivot on entry pc
+updates a row whose entry in the pivot column is f by scaling it by
+pc / gcd(pc, f) and subtracting (f / gcd(pc, f)) times the pivot row
+over the pivot row's nonzero entries only.  The tableau is
 built from :class:`LPProblem` in one pass, straight to those integer
 rows.  The reduced-cost row of each phase is priced once and then
 updated by every pivot like any other row.
@@ -63,11 +66,10 @@ class CertificateError(RuntimeError):
     certificate failed exact re-verification (solver bug)."""
 
 
-def _frac(value: Rational) -> Fraction:
-    if isinstance(value, Fraction):
+def _frac(value: Rational) -> Rational:
+    """An int or a Fraction as given; ints have a numerator and a denominator too."""
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
     raise MalformedProblem(f"expected exact rational, got {type(value).__name__}")
 
 
@@ -79,12 +81,12 @@ class LPProblem(Record):
     positive infinitesimal, and is nonnegative.
     """
 
-    objective: Tuple[Fraction, ...]
-    rows: Tuple[Tuple[Fraction, ...], ...]
+    objective: Tuple[Rational, ...]
+    rows: Tuple[Tuple[Rational, ...], ...]
     relations: Tuple[str, ...]
-    rhs: Tuple[Fraction, ...]
-    lower: Tuple[Optional[Fraction], ...]
-    rhs_eta: Tuple[Fraction, ...]
+    rhs: Tuple[Rational, ...]
+    lower: Tuple[Optional[Rational], ...]
+    rhs_eta: Tuple[Rational, ...]
 
     @staticmethod
     def build(objective: Sequence[Rational],
@@ -112,19 +114,14 @@ class LPProblem(Record):
         for rel in relations:
             if rel not in _RELATIONS:
                 raise MalformedProblem(f"unsupported relation {rel!r}; use '=' or '<='")
-        lo = []
         for b in lower:
-            if b is None:
-                lo.append(None)
-            elif _frac(b) == 0:
-                lo.append(Fraction(0))
-            else:
+            if b is not None and _frac(b) != 0:
                 raise MalformedProblem("lower bounds must be 0 or None")
         b, b_eta = tuple(_frac(v) for v in rhs), tuple(_frac(v) for v in rhs_eta)
         for i, pair in enumerate(zip(b, b_eta)):
             if pair < (0, 0):
                 raise MalformedProblem(f"row {i} has a negative right-hand side")
-        return LPProblem(obj, tuple(mat), tuple(relations), b, tuple(lo), b_eta)
+        return LPProblem(obj, tuple(mat), tuple(relations), b, tuple(lower), b_eta)
 
     def n_vars(self) -> int:
         return len(self.objective)
@@ -154,6 +151,21 @@ def _primitive(nums: list[int]) -> list[int]:
     """An integer equation divided by the gcd of its entries."""
     g = math.gcd(*nums)
     return nums if g == 1 else [a // g for a in nums]
+
+
+def _eliminate(r: list[int], f: int, pc: int, nonzero: list[Tuple[int, int]]) -> list[int]:
+    """The primitive form of pc * r - f * p, for a pivot row p with pc > 0
+    given as its nonzero entries (j, p_j): r is scaled by pc / gcd(pc, f)
+    and (f / gcd(pc, f)) * p subtracted where p is nonzero.  Dividing both
+    terms by the gcd changes the row by a positive factor only, so its
+    primitive form is the same.  When the scale is 1, r itself is updated."""
+    g = math.gcd(pc, f)
+    scale, f = pc // g, f // g
+    if scale != 1:
+        r = [a * scale for a in r]
+    for j, b in nonzero:
+        r[j] -= f * b
+    return _primitive(r)
 
 
 class _Tableau:
@@ -229,19 +241,24 @@ class _Tableau:
                 Fraction(self.obj[_RHS_ETA], self.obj_den))
 
     def pivot(self, row: int, col: int):
+        """Make ``col`` basic in ``row``: every other row and the reduced-cost
+        row with a nonzero f in ``col`` becomes the primitive form of
+        pc * r - f * p, computed as :func:`_eliminate` does, over the pivot
+        row's nonzero entries, listed once."""
         p = self.rows[row]
         pc = p[col]
         if pc < 0:
             p, pc = [-a for a in p], -pc
             self.rows[row] = p
+        nonzero = [(j, b) for j, b in enumerate(p) if b]
         for i, r in enumerate(self.rows):
             f = r[col]
             if f and i != row:
-                self.rows[i] = _primitive([a * pc - f * b for a, b in zip(r, p)])
+                self.rows[i] = _eliminate(r, f, pc, nonzero)
         f = self.obj[col]
         if f:
-            *self.obj, self.obj_den = _primitive([a * pc - f * b for a, b in zip(self.obj, p)]
-                                                 + [self.obj_den * pc])
+            # obj_den is one more entry, where the pivot row has none
+            *self.obj, self.obj_den = _eliminate(self.obj + [self.obj_den], f, pc, nonzero)
         self.basis[row] = col
 
     def run(self, cost: Sequence[Fraction], allowed) -> bool:

@@ -1,6 +1,7 @@
 """Risk, Bayes risk, mixtures and derandomization on finite problems."""
 
 import importlib
+import itertools
 import math
 import random
 import sys
@@ -143,14 +144,18 @@ def test_score_table_matches_reference_on_benchmark_problems(monkeypatch, sizes)
         assert (scores, argmins) == reference_posterior_minima(model, new_loss, rational)
 
 
+def reference_den(model, loss) -> int:
+    """The model tables' least common denominator times the loss's."""
+    return (math.lcm(*(F(v).denominator for row in model for v in row))
+            * math.lcm(*(F(v).denominator for row in loss for v in row)))
+
+
 def reference_game_lp(model, loss, candidate_risks) -> LPProblem:
-    """The floored prior game of synthesize_prior, its rows built from the
-    raw tables with one Fraction per product and per sum, each (x, a) row
-    times den, the model tables' least common denominator times the
-    loss's."""
+    """The full floored prior game, a row for every (x, a), its rows built
+    from the raw tables with one Fraction per product and per sum, each
+    (x, a) row times :func:`reference_den`."""
     n_states, n_obs, n_act = len(model), len(model[0]), len(loss[0])
-    den = (math.lcm(*(v.denominator for row in model for v in row))
-           * math.lcm(*(v.denominator for row in loss for v in row)))
+    den = reference_den(model, loss)
     objective = [-r for r in candidate_risks] + [F(1)] * n_obs
     rows = [[F(1)] * n_states + [F(0)] * n_obs]
     relations, rhs, rhs_eta = ["="], [F(1)], [F(-n_states)]
@@ -165,6 +170,117 @@ def reference_game_lp(model, loss, candidate_risks) -> LPProblem:
             rhs_eta.append(den * sum(column))
     return LPProblem.build(objective, rows, relations, rhs,
                            lower=[F(0)] * n_states + [None] * n_obs, rhs_eta=rhs_eta)
+
+
+def reference_dominated(model, loss, x: int, a: int) -> bool:
+    """Is the column P_s(x) L(s, a) over s, as Fraction products, entrywise
+    >= another action b's column, and either different from it or b < a?"""
+    n_states = len(model)
+
+    def column(act):
+        return [F(model[s][x]) * loss[s][act] for s in range(n_states)]
+
+    mine = column(a)
+    return any(all(o <= m for o, m in zip(column(b), mine)) and (column(b) != mine or b < a)
+               for b in range(len(loss[0])) if b != a)
+
+
+def reference_reduced_game(model, loss, candidate_risks) -> LPProblem:
+    """:func:`reference_game_lp` without the rows of dominated (x, a)."""
+    game = reference_game_lp(model, loss, candidate_risks)
+    n_obs, n_act = len(model[0]), len(loss[0])
+    kept = [0] + [1 + x * n_act + a for x in range(n_obs) for a in range(n_act)
+                  if not reference_dominated(model, loss, x, a)]
+    return game.replace(**{name: tuple(getattr(game, name)[i] for i in kept)
+                           for name in ("rows", "relations", "rhs", "rhs_eta")})
+
+
+def assert_verdicts_match_the_full_game(monkeypatch, model, loss, rules) -> int:
+    """Every verdict field of synthesize_prior, read off the full game solved
+    by solve_lp: epsilon* = -value, S* = sum of the candidate's risks -
+    the value's eta part, the witness prior x[:n] and the improver den
+    times the (x, a) duals.  The full game's dual of each dominated row is
+    0, and the game synthesize_prior solves has one row per undominated
+    (x, a) besides the sum-to-1 row.  Returns the rows left out."""
+    n_states, n_obs, n_act = len(model), len(model[0]), len(loss[0])
+    problem = FiniteProblem.build([f"s{s}" for s in range(n_states)],
+                                  [f"x{x}" for x in range(n_obs)],
+                                  [f"a{a}" for a in range(n_act)], model, loss)
+    den = reference_den(model, loss)
+    dominated = {(x, a) for x in range(n_obs) for a in range(n_act)
+                 if reference_dominated(model, loss, x, a)}
+    games = []
+
+    def recording_solve(lp):
+        games.append(lp)
+        return solve_lp(lp)
+
+    monkeypatch.setattr(lcbayes.priors, "solve_lp", recording_solve)
+    verdicts = [lcbayes.priors.synthesize_prior(problem, rule) for rule in rules]
+    monkeypatch.undo()
+    for rule, verdict, game in zip(rules, verdicts, games):
+        risks = reference_risks(model, loss, rule.matrix(n_act))
+        full = solve_lp(reference_game_lp(model, loss, risks))
+        duals = full.row_duals[1:]
+        assert len(game.rows) == 1 + n_obs * n_act - len(dominated)
+        assert all(duals[x * n_act + a] == 0 for x, a in dominated)
+        assert verdict.epsilon_star == -full.objective_value
+        assert verdict.total_slack == sum(risks) - full.objective_value_eta
+        assert verdict.witness_prior == Prior(full.x[:n_states])
+        assert verdict.improver == Procedure("randomized", matrix_rows=tuple(
+            tuple(den * y for y in duals[x * n_act:(x + 1) * n_act]) for x in range(n_obs)))
+        assert verdict.candidate_risks == risks
+    return len(dominated)
+
+
+@pytest.mark.parametrize("sizes", [(3, 3, 1), (4, 3, 2), (5, 5, 3), (8, 8, 2), (10, 10, 3)])
+def test_game_verdicts_match_the_full_game_on_benchmark_problems(monkeypatch, sizes):
+    # the benchmark's problem generator and its three rule classes, read-only
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    workloads = importlib.import_module("workloads")
+    rng = random.Random(f"full-game/{sizes}")
+    for _ in range(2):
+        prob = workloads.make_problem(rng, *sizes)
+        rules = [procedure_from_json_dict(workloads.RULES[cls](rng, prob))
+                 for cls in workloads.CLASSES]
+        # the shadow and the penalty action are dominated at every observation
+        left_out = assert_verdicts_match_the_full_game(monkeypatch, prob["model"],
+                                                       prob["loss"], rules)
+        assert left_out >= 2 * sizes[1]
+
+
+def every_rule(n_obs: int, n_act: int) -> list:
+    rules = [Procedure.nonrandomized(list(m))
+             for m in itertools.product(range(n_act), repeat=n_obs)]
+    return rules + [Procedure.randomized([[F(1, n_act)] * n_act] * n_obs)]
+
+
+def test_game_verdicts_match_the_full_game_with_duplicate_actions(monkeypatch):
+    # actions 1 and 3 have one loss column: of each pair of equal score
+    # columns only action 1's row stays, and action 2 is dominated by neither
+    model = [[F(1, 2), F(1, 2)], [F(1, 3), F(2, 3)], [F(3, 4), F(1, 4)]]
+    loss = [[0, 2, 3, 2], [4, 1, 0, 1], [2, 2, 5, 2]]
+    assert assert_verdicts_match_the_full_game(monkeypatch, model, loss, every_rule(2, 4)) == 2
+
+
+def test_game_verdicts_match_the_full_game_with_zeros_in_the_model(monkeypatch):
+    # loss columns a0 = (0, 5), a1 = (3, 1), a2 = (4, 4): a1 dominates a2,
+    # and no column dominates a0 or a1.  Only s0 produces x0, where a0's
+    # score column (0, 0) dominates both others; only s1 produces x2, where
+    # a1's column dominates both others; at x1 a1 dominates a2
+    model = [[F(1, 2), F(1, 2), F(0)], [F(0), F(1, 3), F(2, 3)]]
+    loss = [[0, 3, 4], [5, 1, 4]]
+    assert reference_dominated(model, loss, 0, 1) and reference_dominated(model, loss, 2, 0)
+    assert assert_verdicts_match_the_full_game(monkeypatch, model, loss, every_rule(3, 3)) == 5
+
+
+def test_game_verdicts_match_the_full_game_with_an_impossible_observation(monkeypatch):
+    # no state produces x1: all its score columns are 0, so only a0's row stays
+    model = [[F(1, 4), F(0), F(3, 4)], [F(1, 2), F(0), F(1, 2)], [F(2, 3), F(0), F(1, 3)]]
+    loss = [[1, 0, 2], [0, 3, 1], [2, 2, 0]]
+    assert assert_verdicts_match_the_full_game(monkeypatch, model, loss, every_rule(3, 3)) == 2
+    assert all(reference_dominated(model, loss, 1, a) for a in (1, 2))
 
 
 def wide_tables(rng: random.Random, digits: int):
@@ -218,7 +334,7 @@ def test_wide_denominators_match_reference(monkeypatch):
     for procedure, verdict, game in zip(rules, verdicts, games):
         risks = reference_risks(model, loss, procedure.matrix(2))
         assert verdict.candidate_risks == risks
-        assert game == reference_game_lp(model, loss, risks)
+        assert game == reference_reduced_game(model, loss, risks)
         improver = reference_risks(model, loss, verdict.improver.matrix(2))
         slacks = [r - verdict.epsilon_star - d for r, d in zip(risks, improver)]
         assert min(slacks) >= 0 and sum(slacks) == verdict.total_slack

@@ -107,6 +107,30 @@ def test_build_refuses_other_shapes(kwargs, message):
         LPProblem.build(**args)
 
 
+def test_build_keeps_ints_as_ints():
+    p = LPProblem.build([1, -F(1, 2)], [[2, -3], [F(3, 4), 0]], ["<=", "="], [4, F(5, 2)],
+                        lower=[0, None], rhs_eta=[F(1, 3), 0])
+    assert [type(v) for v in p.objective] == [int, F]
+    assert [[type(v) for v in row] for row in p.rows] == [[int, int], [F, int]]
+    assert [type(v) for v in p.rhs] == [int, F]
+    assert [type(v) for v in p.rhs_eta] == [F, int]
+    assert p == LPProblem.build([F(1), -F(1, 2)], [[F(2), F(-3)], [F(3, 4), F(0)]],
+                                ["<=", "="], [F(4), F(5, 2)], lower=[F(0), None],
+                                rhs_eta=[F(1, 3), F(0)])
+    sol = solve_lp(p)
+    assert (sol.objective_value, sol.objective_value_eta) == (F(26, 9), F(1, 18))
+
+
+@pytest.mark.parametrize("field", ["objective", "rows", "rhs", "lower", "rhs_eta"])
+def test_build_refuses_a_bool(field):
+    # bool is an int subclass, but True is no LP coefficient (it read 1)
+    args = {"objective": [1], "rows": [[1]], "relations": ["<="], "rhs": [1],
+            "lower": [0], "rhs_eta": [0]}
+    args[field] = [[True]] if field == "rows" else [True]
+    with pytest.raises(MalformedProblem, match="expected exact rational, got bool"):
+        LPProblem.build(**args)
+
+
 def test_checker_rejects_tampered_solution():
     p = LPProblem.build([1], [[1]], ["<="], [3])
     good = solve_lp(p)
@@ -150,7 +174,9 @@ def test_checker_rejects_a_short_primal_vector():
 def twin_state_game(monkeypatch):
     """The prior game of two states that no observation tells apart, the
     candidate taking action b (loss 1), and its optimum.  Action a has
-    loss 0 at both states, so the game row of (x, a) reads m_x <= 0."""
+    loss 0 at both states, so the game row of (x, a) reads m_x <= 0.  b's
+    score column (1, 1) is dominated by a's (0, 0), so the game has no
+    (x, b) row: only the sum-to-1 row and the (x, a) row."""
     seen = []
 
     def recording_solve(lp):
@@ -164,6 +190,7 @@ def twin_state_game(monkeypatch):
     monkeypatch.undo()
     (lp,) = seen
     assert lp.lower == (0, 0, None)  # pi'_s, pi'_t >= 0 and a free m_x
+    assert len(lp.rows) == 2
     return lp, solve_lp(lp)
 
 
@@ -180,10 +207,10 @@ def test_checker_rejects_a_negative_prior_weight(monkeypatch):
 
 def test_checker_rejects_a_slack_dual_constraint_on_a_free_variable(monkeypatch):
     lp, good = twin_state_game(monkeypatch)
-    assert good.row_duals == (F(-1), F(1), F(0))
+    assert good.row_duals == (F(-1), F(1))
     # doubling the dual of the (x, a) row m_x <= 0 keeps every sign, every
     # pi' column and the duality gap, but prices m_x's column at 2 > 1
-    bad = good.replace(row_duals=(F(-1), F(2), F(0)))
+    bad = good.replace(row_duals=(F(-1), F(2)))
     with pytest.raises(CertificateError, match="dual constraint 2 not tight for free variable"):
         check_certificate(lp, bad)
 
