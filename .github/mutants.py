@@ -5,7 +5,10 @@
 For each named top-level function of MODULE (a path in the checkout), this
 script makes one mutant per comparison operator, swapped with each of its
 twins (``<`` with ``<=`` and ``>=``, ``==`` with ``!=``, ``is`` with ``is
-not``, ``in`` with ``not in``), and one per statement, replaced by
+not``, ``in`` with ``not in``), one per reference to a comparison function
+of the ``operator`` module, swapped with the same twins (``operator.lt``
+with ``operator.le`` and ``operator.ge``, and so on), so that a comparison
+passed as a function is mutated too, and one per statement, replaced by
 ``pass`` (the docstring excepted).  It copies the checkout to a temporary
 directory, checks that the test files pass there, then writes each mutant
 into the copy and runs the test files on it with pytest, stopping at the
@@ -42,6 +45,12 @@ TWINS = {
     ast.In: (ast.NotIn,), ast.NotIn: (ast.In,),
 }
 
+# the operator module's comparison functions -> their twins, as above
+_FUNCTIONS = {ast.Lt: "lt", ast.LtE: "le", ast.Gt: "gt", ast.GtE: "ge", ast.Eq: "eq",
+              ast.NotEq: "ne"}
+FUNCTION_TWINS = {_FUNCTIONS[op]: tuple(_FUNCTIONS[twin] for twin in twins)
+                  for op, twins in TWINS.items() if op in _FUNCTIONS}
+
 # (function, mutant as printed) -> why no test can tell it from the
 # original; every mutant of the targets in CI is killed today
 EQUIVALENT: dict[tuple[str, str], str] = {}
@@ -59,6 +68,13 @@ def sites(function: ast.FunctionDef):
                     mutated.ops[k] = twin()
                     yield (f"{ast.unparse(node)}  ->  {ast.unparse(mutated)}",
                            _replace(index, lambda old, new=mutated: new))
+        if (isinstance(node, ast.Attribute) and node.attr in FUNCTION_TWINS
+                and isinstance(node.value, ast.Name) and node.value.id == "operator"):
+            for twin in FUNCTION_TWINS[node.attr]:
+                mutated = copy.deepcopy(node)
+                mutated.attr = twin
+                yield (f"{ast.unparse(node)}  ->  {ast.unparse(mutated)}",
+                       _replace(index, lambda old, new=mutated: new))
         if isinstance(node, ast.stmt) and node is not function and not _docstring(node):
             yield (f"{ast.unparse(node).splitlines()[0]}  ->  pass",
                    _replace(index, lambda old: ast.copy_location(ast.Pass(), old)))

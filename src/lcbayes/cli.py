@@ -4,13 +4,19 @@ Levi-Civita expressions, and emit machine-readable certificates.
 Commands::
 
     lcbayes finite classify <problem.json> --procedures <file>
-    lcbayes finite synthesize-prior <problem.json> --procedure <index>
+    lcbayes finite synthesize-prior <problem.json> --procedures <file> --procedure <index>
     lcbayes example {normal-location | bernoulli-boundary} [--dim D] [--order N]
-    lcbayes lc eval <expr> [--order N]
+    lcbayes lc eval [--] <expr> [--order N]
 
-Global flags: ``--format json|text`` and ``--order N`` (default 8).
-``example`` and ``lc eval`` also take them after the subcommand, and
-there they win.
+Global flags: ``--format json|text`` and ``--order N`` (default 8), before
+the command.  ``example`` and ``lc eval`` also take them after the
+command, and there they win.  The arguments are read from a table of the
+four commands, not by argparse: an option takes its value as the next
+word or after ``=`` (``--order=4``), names are never abbreviated, a
+negative number such as ``lc eval -1`` is a positional argument, and
+every word after ``--`` is one (``lc eval -- -eps``).  ``-h``/``--help``
+prints the usage to stdout and exits 0; a usage error prints the usage
+and one ``error:`` line to stderr and exits 2.
 
 Machine output is exact: rationals as "p/q" strings and Levi-Civita
 values in the canonical series syntax; decimal approximations appear
@@ -25,9 +31,9 @@ certificate failure (a verdict that fails its LP certificate or
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -226,19 +232,20 @@ def _cmd_finite(args, fmt: str) -> int:
     from .ratlp import CertificateError
 
     try:
-        problem = problem_from_json(Path(args.problem).read_text())
-        procedures = procedures_from_json(Path(args.procedures).read_text())
+        problem = problem_from_json(Path(args["problem"]).read_text())
+        procedures = procedures_from_json(Path(args["procedures"]).read_text())
         for procedure in procedures:
             check_procedure(problem, procedure)
     except (OSError, UnicodeDecodeError, SchemaError, IndexOutOfRange, ShapeMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    classifying = args.subcommand == "classify"
+    classifying = args["command"] == "finite classify"
     if not classifying:
-        if not 0 <= args.procedure < len(procedures):
-            print(f"error: procedure index {args.procedure} out of range", file=sys.stderr)
+        index = args["procedure"]
+        if not 0 <= index < len(procedures):
+            print(f"error: procedure index {index} out of range", file=sys.stderr)
             return EXIT_BAD_INPUT
-        procedures = procedures[args.procedure:args.procedure + 1]
+        procedures = procedures[index:index + 1]
     try:
         verdicts = [classify(problem, procedure) for procedure in procedures]
     except CertificateError as exc:
@@ -260,27 +267,28 @@ def _cmd_finite(args, fmt: str) -> int:
 def _cmd_example(args, fmt: str, order: int) -> int:
     from .families import bernoulli_boundary_report, normal_location_report
 
-    if args.name == "normal-location":
-        if args.dim < 1:
+    name, dim = args["name"], args["dim"]
+    if name == "normal-location":
+        if dim < 1:
             print("error: --dim must be >= 1", file=sys.stderr)
             return EXIT_BAD_INPUT
-        if args.dim > MAX_DIM:
+        if dim > MAX_DIM:
             print(f"error: --dim must be <= {MAX_DIM}", file=sys.stderr)
             return EXIT_BAD_INPUT
-        report = normal_location_report(args.dim, order=order)
+        report = normal_location_report(dim, order=order)
         _print_payload(normal_location_payload(report), fmt)
         return EXIT_OK
-    if args.name == "bernoulli-boundary":
+    if name == "bernoulli-boundary":
         report = bernoulli_boundary_report(order=order)
         _print_payload(bernoulli_payload(report), fmt)
         return EXIT_OK
-    print(f"error: unknown example {args.name!r}", file=sys.stderr)
+    print(f"error: unknown example {name!r}", file=sys.stderr)
     return EXIT_BAD_INPUT
 
 
 def _cmd_lc_eval(args, fmt: str, order: int) -> int:
     try:
-        value = evaluate(args.expr, order=order)
+        value = evaluate(args["expr"], order=order)
         payload = {"value": str(value), "order": order}
         payload.update(_st_fields(value))
     except RecursionError:
@@ -300,80 +308,153 @@ def _cmd_lc_eval(args, fmt: str, order: int) -> int:
 # argument parsing
 # ----------------------------------------------------------------------
 
+USAGE = """\
+usage: lcbayes [--format json|text] [--order N] finite classify PROBLEM --procedures FILE
+       lcbayes [--format json|text] [--order N] finite synthesize-prior PROBLEM
+               --procedures FILE --procedure INDEX
+       lcbayes [--format json|text] [--order N] example NAME [--dim D]
+               [--order N] [--format json|text]
+       lcbayes [--format json|text] [--order N] lc eval [--] EXPR
+               [--order N] [--format json|text]"""
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="lcbayes",
-        description="Exact decision-theory certificates over rational and "
-                    "Levi-Civita arithmetic.")
-    parser.add_argument("--format", choices=("json", "text"), default="json")
-    parser.add_argument("--order", type=int, default=8,
-                        help="Levi-Civita truncation order (default 8)")
-    sub = parser.add_subparsers(dest="command", required=True)
+HELP = USAGE + """
 
-    finite = sub.add_parser("finite", help="finite decision problem commands")
-    finite_sub = finite.add_subparsers(dest="subcommand", required=True)
-    cls = finite_sub.add_parser("classify", help="classify procedures")
-    cls.add_argument("problem")
-    cls.add_argument("--procedures", required=True)
-    syn = finite_sub.add_parser("synthesize-prior", help="witness prior for one procedure")
-    syn.add_argument("problem")
-    syn.add_argument("--procedures", required=True)
-    syn.add_argument("--procedure", type=int, required=True)
+Exact decision-theory certificates over rational and Levi-Civita arithmetic.
 
-    ex = sub.add_parser("example", help="built-in example reports")
-    ex.add_argument("name")
-    ex.add_argument("--dim", type=int, default=1)
-    ex.add_argument("--order", type=int, default=argparse.SUPPRESS)
-    ex.add_argument("--format", choices=("json", "text"), default=argparse.SUPPRESS)
+  finite classify          classify procedures against a finite problem
+  finite synthesize-prior  witness prior and game value for one procedure
+  example                  built-in reports: normal-location, bernoulli-boundary
+  lc eval                  evaluate a Levi-Civita expression
 
-    lc = sub.add_parser("lc", help="Levi-Civita arithmetic")
-    lc_sub = lc.add_subparsers(dest="subcommand", required=True)
-    ev = lc_sub.add_parser("eval", help="evaluate an expression")
-    ev.add_argument("expr")
-    ev.add_argument("--order", type=int, default=argparse.SUPPRESS)
-    ev.add_argument("--format", choices=("json", "text"), default=argparse.SUPPRESS)
-    return parser
+  --format json|text  output format (default json)
+  --order N           Levi-Civita truncation order (default 8)
+  --dim D             dimension of the normal-location example (default 1)
+
+An option takes its value as the next word or after '='.  Put '--' before
+an expression that starts with '-': lcbayes lc eval -- -eps."""
+
+_FORMATS = ("json", "text")
+_GLOBAL = {"--format": _FORMATS, "--order": int}
+# each command's positional arguments and its options, by the type of
+# their value (a tuple lists the choices); an option with no default in
+# _DEFAULTS is required
+_COMMANDS = {
+    "finite classify": (("problem",), {"--procedures": str}),
+    "finite synthesize-prior": (("problem",), {"--procedures": str, "--procedure": int}),
+    "example": (("name",), {"--dim": int, **_GLOBAL}),
+    "lc eval": (("expr",), _GLOBAL),
+}
+_DEFAULTS = {"format": "json", "order": 8, "dim": 1}
+_NEGATIVE = re.compile(r"-\d+|-\d*\.\d+")
+
+
+class UsageError(Exception):
+    """Arguments that name no command or do not fit the command's table."""
+
+
+def _is_option(token: str) -> bool:
+    """A word that starts with '-' names an option unless it is '-' alone,
+    a negative number or holds a space, as in argparse."""
+    return (token.startswith("-") and token != "-" and " " not in token
+            and not _NEGATIVE.fullmatch(token))
+
+
+def _read(tokens: list[str], options: dict, values: dict, stop: bool) -> list[str]:
+    """Store ``tokens``' options in ``values`` and return the rest: every
+    token from the first positional on with ``stop``, else the positionals.
+    After ``--`` every token is positional."""
+    positionals = []
+    tokens = iter(tokens)
+    for token in tokens:
+        if token == "--":
+            return positionals + list(tokens)
+        if not _is_option(token):
+            positionals.append(token)
+            if stop:
+                return positionals + list(tokens)
+        else:
+            flag, has_value, value = token.partition("=")
+            if flag not in options:
+                raise UsageError(f"unrecognized arguments: {token}")
+            if not has_value:
+                value = next(tokens, None)
+                if value is None or _is_option(value):
+                    raise UsageError(f"argument {flag}: expected one argument")
+            kind = options[flag]
+            if kind is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    raise UsageError(f"argument {flag}: invalid int value: {value!r}") from None
+            elif kind is not str and value not in kind:
+                raise UsageError(f"argument {flag}: invalid choice: {value!r} "
+                                 f"(choose from {', '.join(map(repr, kind))})")
+            values[flag[2:]] = value
+    return positionals
+
+
+def parse_args(argv: list[str]) -> dict:
+    """The values of ``argv``'s command, its positional arguments and its
+    options, with the command itself under ``"command"``."""
+    values = dict(_DEFAULTS)
+    words = _read(argv, _GLOBAL, values, stop=True)
+    command = " ".join(words[:2] if words[:1] in (["finite"], ["lc"]) else words[:1])
+    if command not in _COMMANDS:
+        raise UsageError(f"unknown command {command!r}" if command else "no command given")
+    names, options = _COMMANDS[command]
+    positionals = _read(words[command.count(" ") + 1:], options, values, stop=False)
+    if len(positionals) > len(names):
+        raise UsageError(f"unrecognized arguments: {' '.join(positionals[len(names):])}")
+    missing = names[len(positionals):] + tuple(
+        flag for flag in options if flag[2:] not in values)
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    values.update(zip(names, positionals), command=command)
+    return values
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    end = argv.index("--") if "--" in argv else len(argv)
+    if "-h" in argv[:end] or "--help" in argv[:end]:
+        print(HELP)
+        return EXIT_OK
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse printed its usage and one error line
-        return exc.code
-    fmt, order = args.format, args.order
+        args = parse_args(argv)
+    except UsageError as exc:
+        print(f"{USAGE}\nlcbayes: error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    fmt, order = args["format"], args["order"]
     if order < 1:
         print("error: --order must be >= 1", file=sys.stderr)
         return EXIT_BAD_INPUT
     try:
-        if args.command == "finite":
-            return _cmd_finite(args, fmt)
-        if args.command == "example":
+        if args["command"] == "example":
             return _cmd_example(args, fmt, order)
-        if args.command == "lc" and args.subcommand == "eval":
+        if args["command"] == "lc eval":
             return _cmd_lc_eval(args, fmt, order)
+        return _cmd_finite(args, fmt)
     except (TooManyTerms, CoefficientTooWide) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except NotNearStandard as exc:  # pragma: no cover - reports catch this
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    parser.error("unknown command")
-    return EXIT_BAD_INPUT  # pragma: no cover
 
 
 def entry():
-    """The console script and ``python -m lcbayes.cli``: :func:`main`'s exit
-    code, or 1 with nothing on stderr when stdout was closed early."""
+    """The console script and ``python -m lcbayes.cli``: exit with
+    :func:`main`'s code, or with 1 and nothing on stderr when stdout was
+    closed early.  The streams are flushed here and the process leaves by
+    ``os._exit``, so the interpreter's finalization, which a one-shot
+    command does not need, is skipped and no later flush can fail."""
     try:
         code = main()
         sys.stdout.flush()
     except BrokenPipeError:
-        # point stdout at devnull so the interpreter's last flush cannot fail
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1
-    raise SystemExit(code)
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

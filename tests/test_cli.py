@@ -1,7 +1,9 @@
 """Command-line behavior: output schemas, determinism, exit codes."""
 
+import importlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -558,12 +560,78 @@ def test_lc_eval_order_zero_is_rejected(capsys):
     assert capsys.readouterr().err == "error: --order must be >= 1\n"
 
 
-def test_usage_error_returns_2_without_raising(capsys):
-    # argparse reads a leading '-' as an option, so the expression is missing
-    assert main(["lc", "eval", "-eps"]) == 2
-    err = capsys.readouterr().err
+@pytest.mark.parametrize("argv", [
+    ["lc", "eval", "-eps"],
+    ["nosuch"],
+    ["finite", "classify", "problem.json"],
+    ["--format", "xml", "lc", "eval", "1"],
+    ["--order", "x", "lc", "eval", "1"],
+    ["example", "normal-location", "--dim", "x"],
+    ["lc", "eval", "1", "2"],
+    ["finite", "classify", "problem.json", "--procedures", "procs.json", "--order", "4"],
+], ids=["leading-dash", "unknown-command", "missing-procedures", "format-xml", "order-x",
+        "dim-x", "extra-positional", "order-after-finite"])
+def test_usage_error_returns_2_without_raising(capsys, argv):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("usage:")
     assert sum("error:" in line for line in err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, value", [
+    (["lc", "eval", "1/(1+eps)", "--order=4"], "1 - eps + eps^2 - eps^3 + eps^4"),
+    (["--order=2", "lc", "eval", "1/(1+eps)"], "1 - eps + eps^2"),
+    (["lc", "eval", "--", "-eps"], "-eps"),
+    (["lc", "eval", "-1"], "-1"),
+], ids=["order-equals", "global-order-equals", "dash-dash", "negative-number"])
+def test_accepted_argument_forms(capsys, argv, value):
+    code, out = run_json(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["value"] == value
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["lc", "eval", "-h"]])
+def test_help_goes_to_stdout_and_exits_0(capsys, argv):
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: lcbayes") and "lc eval -- -eps" in out
+    assert err == ""
+
+
+def run_cli(argv):
+    """``python -m lcbayes.cli argv`` from the checkout's src/, its output
+    buffered as it is when PYTHONUNBUFFERED is not set."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run([sys.executable, "-m", "lcbayes.cli", *argv], capture_output=True,
+                          text=True, timeout=60, env=dict(env, PYTHONPATH=str(SRC)))
+
+
+def test_hard_exit_keeps_stdout_whole(capsys, tmp_path, monkeypatch):
+    # the process leaves by os._exit: what main printed must be flushed first
+    monkeypatch.syspath_prepend(str(SRC.parent / "bench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as it is
+    workloads = importlib.import_module("workloads")
+    batch = workloads.classify_request(random.Random("hard-exit"), "large", (10, 10, 5))
+    for name, text in batch.files.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    for argv in (["example", "bernoulli-boundary", "--order", "16"], batch.argv):
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+        result = run_cli(argv)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout == expected
+
+
+@pytest.mark.parametrize("argv, code", [(["lc", "eval", "1", "2"], 2),
+                                        (["lc", "eval", "1/(eps-eps)"], 4)],
+                         ids=["usage-error", "division-by-zero"])
+def test_hard_exit_keeps_stderr_whole(capsys, argv, code):
+    assert main(argv) == code
+    expected = capsys.readouterr()
+    result = run_cli(argv)
+    assert (result.returncode, result.stdout, result.stderr) == (code, "", expected.err)
 
 
 @pytest.mark.parametrize("argv", [["lc", "eval", "1/(1+eps)"],
