@@ -16,8 +16,8 @@ The game value is -(epsilon* + eta S*): epsilon* is the largest uniform
 improvement over the candidate, and S* the largest total slack
 sum_theta (r(theta, cand) - epsilon* - risk(theta, D)) of a rule D that
 improves by epsilon*.  The duals of the (x, a) rows sum to 1 per
-observation, because m_x is free, so they form a randomized rule D, and
-D attains both epsilon* and S*.  The standard part st(pi) is a prior
+observation (m_x's dual constraint is tight), so they form a rule D,
+and D attains both epsilon* and S*.  The standard part st(pi) is a prior
 under which the candidate is epsilon*-Bayes: a separating-hyperplane
 normal over the finite risk set, produced without any convex-hull
 construction.
@@ -127,7 +127,7 @@ def _undominated_rows(problem: FiniteProblem) -> list[Tuple[int, int]]:
 def synthesize_prior(problem: FiniteProblem, procedure: Procedure) -> AdmissibilityVerdict:
     """Witness prior, epsilon*, S* and improver for one candidate.
 
-    LP variables: pi'_theta >= 0 and a free m_x per observation, with
+    LP variables: pi'_theta >= 0 and m_x >= 0 per observation, with
     pi_theta = eta + pi'_theta summing to 1; maximize sum_x m_x -
     sum_theta pi_theta r(theta, cand) subject to m_x <= sum_theta
     pi_theta scores[x][a][theta] for every (x, a).  In pi' the rows read
@@ -140,6 +140,20 @@ def synthesize_prior(problem: FiniteProblem, procedure: Procedure) -> Admissibil
     min_{D} r(pi, D) - r(pi, cand), maximized over the floored priors.
     den times the duals of the (x, a) rows is the improver D, which
     :func:`lcbayes.ratlp.check_certificate` has verified with the solve.
+
+    As the loss is nonnegative, m_x >= 0 loses nothing and keeps the
+    pivots of the game with a free m_x = m+ - m-.  Raising a negative m_x
+    to 0 keeps every (x, a) row, whose pi' part is <= 0 <= eta times its
+    sum, and raises the objective.  Phase 1 is one pivot: pi'_0 enters the
+    sum row, where the m columns have no entry and no cost.  In phase 2
+    m-'s reduced cost is minus m+'s.  While m+ is nonbasic, m_x = 0, so a
+    kept row with a nonzero column has a basic slack >= eta times its sum
+    > 0, dual 0, and m+ prices at -1; a zero column at x dominates the
+    others, so its row alone is kept at x, and m+ enters it at ratio 0 and
+    stays basic.  So m- never enters; as its entries are m+'s negated,
+    leaving it out keeps the column order and every row's gcd, hence every
+    pivot, x, x_eta, value and dual.  At the free game's optimum m+ and m-
+    both price at 0, so D's rows sum to 1, which :func:`classify` checks.
 
     Only the rows of :func:`_undominated_rows` are built: an (x, a) whose
     score column some b's column dominates gets no row, and 0 in D.  The
@@ -179,9 +193,7 @@ def synthesize_prior(problem: FiniteProblem, procedure: Procedure) -> Admissibil
         rhs.append(0)
         rhs_eta.append(sum(column))
 
-    lower: list[Optional[int]] = [0] * n_states + [None] * n_obs
-    lp = LPProblem.build(objective, rows, relations, rhs, lower=lower, rhs_eta=rhs_eta)
-    sol = solve_lp(lp)
+    sol = solve_lp(LPProblem.build(objective, rows, relations, rhs, rhs_eta=rhs_eta))
     # D's delta(x, a) is den times the dual of the (x, a) row, after the sum-to-1 row
     matrix = [[Fraction(0)] * n_act for _ in range(n_obs)]
     for (x, a), y in zip(kept, sol.row_duals[1:]):
@@ -240,11 +252,11 @@ def classify(problem: FiniteProblem, procedure: Procedure) -> AdmissibilityVerdi
 
     The verdict comes from one LP, so it is checked here: its payoff data
     r(theta, candidate) are the candidate's recomputed risks, the
-    improver's recomputed risk is at most r(theta, candidate) - epsilon*
-    at every state (so epsilon* is attained), its slacks sum to S*, the
-    eta part of the game value, and the candidate is epsilon*-Bayes under
-    the witness prior by the separable minimum (so no rule improves by
-    more).
+    improver is a randomized rule whose recomputed risk is at most
+    r(theta, candidate) - epsilon* at every state (so epsilon* is
+    attained), its slacks sum to S*, the eta part of the game value, and
+    the candidate is epsilon*-Bayes under the witness prior by the
+    separable minimum (so no rule improves by more).
     These checks cover the witness too: an inadmissible verdict's witness
     is the improver, which is better everywhere when epsilon* > 0, and
     has slacks summing to S* > 0 when epsilon* = 0.
@@ -252,6 +264,8 @@ def classify(problem: FiniteProblem, procedure: Procedure) -> AdmissibilityVerdi
     verdict = check_admissible(problem, procedure)
     if verdict.candidate_risks != risk_vector(problem, procedure):
         raise CertificateError("the verdict's candidate risks are not the candidate's")
+    if any(min(r) < 0 or sum(r) != 1 for r in verdict.improver.matrix(problem.n_actions)):
+        raise CertificateError("the improver is not a randomized rule")
     epsilon_star = verdict.epsilon_star
     slacks = [r - epsilon_star - d for d, r in
               zip(risk_vector(problem, verdict.improver), verdict.candidate_risks)]

@@ -2,7 +2,7 @@
 
 The solver takes LPs of the shape of the prior game in
 :func:`lcbayes.priors.synthesize_prior`: ``=`` and ``<=`` rows with a
-nonnegative right-hand side, and variables that are nonnegative or free.
+nonnegative right-hand side, over nonnegative variables.
 :meth:`LPProblem.build` refuses any other shape, and a solve that finds
 no feasible point or an unbounded objective raises
 :class:`CertificateError`, so every returned :class:`LPSolution` is an
@@ -76,7 +76,7 @@ def _frac(value: Rational) -> Rational:
 class LPProblem(Record):
     """maximize objective @ x subject to rows, relations and rhs.
 
-    Relations are ``=`` or ``<=``; ``lower[j]`` is 0 or None (x_j free).
+    Relations are ``=`` or ``<=``, and the variables are nonnegative.
     Row i's right-hand side is ``rhs[i] + eta * rhs_eta[i]``, eta a
     positive infinitesimal, and is nonnegative.
     """
@@ -85,7 +85,6 @@ class LPProblem(Record):
     rows: Tuple[Tuple[Rational, ...], ...]
     relations: Tuple[str, ...]
     rhs: Tuple[Rational, ...]
-    lower: Tuple[Optional[Rational], ...]
     rhs_eta: Tuple[Rational, ...]
 
     @staticmethod
@@ -93,16 +92,11 @@ class LPProblem(Record):
               rows: Sequence[Sequence[Rational]],
               relations: Sequence[str],
               rhs: Sequence[Rational],
-              lower: Optional[Sequence[Optional[Rational]]] = None,
               rhs_eta: Optional[Sequence[Rational]] = None) -> "LPProblem":
         """The checked problem."""
         n = len(objective)
-        if lower is None:
-            lower = [0] * n
         if rhs_eta is None:
             rhs_eta = [0] * len(rhs)
-        if len(lower) != n:
-            raise MalformedProblem("bounds length must match objective length")
         if not (len(rows) == len(relations) == len(rhs) == len(rhs_eta)):
             raise MalformedProblem("rows, relations, rhs and rhs_eta must have equal length")
         obj = tuple(_frac(c) for c in objective)
@@ -114,14 +108,11 @@ class LPProblem(Record):
         for rel in relations:
             if rel not in _RELATIONS:
                 raise MalformedProblem(f"unsupported relation {rel!r}; use '=' or '<='")
-        for b in lower:
-            if b is not None and _frac(b) != 0:
-                raise MalformedProblem("lower bounds must be 0 or None")
         b, b_eta = tuple(_frac(v) for v in rhs), tuple(_frac(v) for v in rhs_eta)
         for i, pair in enumerate(zip(b, b_eta)):
             if pair < (0, 0):
                 raise MalformedProblem(f"row {i} has a negative right-hand side")
-        return LPProblem(obj, tuple(mat), tuple(relations), b, tuple(lower), b_eta)
+        return LPProblem(obj, tuple(mat), tuple(relations), b, b_eta)
 
     def n_vars(self) -> int:
         return len(self.objective)
@@ -171,10 +162,9 @@ def _eliminate(r: list[int], f: int, pc: int, nonzero: list[Tuple[int, int]]) ->
 class _Tableau:
     """Fraction-free simplex tableau, built from an :class:`LPProblem` in one pass.
 
-    Each free variable becomes two nonnegative columns, x = x+ - x-.  Row
-    i then gets column ``n_struct + i``: a slack for a ``<=`` row, an
-    artificial for an ``=`` row, basic at the start since b + eta * b_eta
-    >= 0.
+    Row i gets column ``n_struct + i``, after the nonnegative variables:
+    a slack for a ``<=`` row, an artificial for an ``=`` row, basic at the
+    start since b + eta * b_eta >= 0.
 
     Row i is one integer equation with no common factor, in Python ints:
     its coefficients, then its right-hand side b and eta coefficient
@@ -189,8 +179,7 @@ class _Tableau:
     """
 
     def __init__(self, problem: LPProblem):
-        self.free = [b is None for b in problem.lower]
-        self.n_struct = problem.n_vars() + sum(self.free)
+        self.n_struct = problem.n_vars()
         m = len(problem.rows)
         self.n_cols = self.n_struct + m
         self.rows: list[list[int]] = []
@@ -200,7 +189,7 @@ class _Tableau:
                                                         problem.rhs, problem.rhs_eta)):
             den = math.lcm(b.denominator, b_eta.denominator,
                            *(a.denominator for a in coeffs))
-            row = self.split([a.numerator * (den // a.denominator) for a in coeffs])
+            row = [a.numerator * (den // a.denominator) for a in coeffs]
             row += [0] * m + [v.numerator * (den // v.denominator) for v in (b, b_eta)]
             col = self.n_struct + i
             row[col] = den
@@ -209,15 +198,6 @@ class _Tableau:
             self.rows.append(row)
             self.basis.append(col)
         self.row_ids = list(range(m))  # live tableau row -> problem row
-
-    def split(self, values: Sequence) -> list:
-        """Values per variable -> per structural column (the x- of a free x negated)."""
-        out = []
-        for v, free in zip(values, self.free):
-            out.append(v)
-            if free:
-                out.append(-v)
-        return out
 
     # -- simplex machinery ------------------------------------------------
 
@@ -315,8 +295,7 @@ class _Tableau:
         for row, col in zip(self.rows, self.basis):
             if col < self.n_struct:
                 values[col] = Fraction(row[part], row[col])
-        cols = iter(values)  # x = x+ - x- for a free x
-        return tuple(next(cols) - next(cols) if free else next(cols) for free in self.free)
+        return tuple(values)
 
     def duals(self, n_rows: int) -> Tuple[Fraction, ...]:
         """The problem rows' optimal duals, read off the phase-2 reduced cost
@@ -346,7 +325,7 @@ def solve_lp(problem: LPProblem) -> LPSolution:
         raise CertificateError("the LP is infeasible")
 
     tab.purge_artificials()
-    cost2 = tab.split(problem.objective) + [Fraction(0)] * (tab.n_cols - tab.n_struct)
+    cost2 = list(problem.objective) + [Fraction(0)] * (tab.n_cols - tab.n_struct)
     if not tab.run(cost2, lambda j: j not in tab.art_cols):
         raise CertificateError("the LP is unbounded")
     value, value_eta = tab.objective_value()
@@ -399,8 +378,7 @@ def check_certificate(p: LPProblem, sol: LPSolution):
 
     # primal feasibility and value
     for j, v in enumerate(zip(x, x_eta)):
-        if p.lower[j] is not None:
-            _require(v >= (0, 0), f"variable {j} below lower bound")
+        _require(v >= (0, 0), f"variable {j} below lower bound")
     for i, row in enumerate(rows):
         lhs, b = (_dot(row, xs), _dot(row, xe)), (p.rhs[i], p.rhs_eta[i])
         _require(lhs <= b if p.relations[i] == LEQ else lhs == b, f"row {i} violated")
@@ -408,7 +386,7 @@ def check_certificate(p: LPProblem, sol: LPSolution):
     c = _numerators(p.objective)
     _require((_dot(c, xs), _dot(c, xe)) == value, "objective value mismatch")
 
-    # dual feasibility: y >= 0 on <= rows, y . A_j >= c_j, with equality if x_j is free
+    # dual feasibility: y >= 0 on <= rows, y . A_j >= c_j
     for i, rel in enumerate(p.relations):
         if rel == LEQ:
             _require(y[i] >= 0, f"dual sign wrong on <= row {i}")
@@ -420,11 +398,7 @@ def check_certificate(p: LPProblem, sol: LPSolution):
             w *= den // d
             totals = [t + w * a for t, a in zip(totals, row)]
     for j, c_j in enumerate(p.objective):
-        column = Fraction(totals[j], den * ys[1])
-        if p.lower[j] is None:
-            _require(column == c_j, f"dual constraint {j} not tight for free variable")
-        else:
-            _require(column >= c_j, f"dual constraint {j} violated")
+        _require(Fraction(totals[j], den * ys[1]) >= c_j, f"dual constraint {j} violated")
 
     _require((_dot(ys, _numerators(p.rhs)), _dot(ys, _numerators(p.rhs_eta))) == value,
              "duality gap nonzero")

@@ -1,11 +1,11 @@
 """Differential test of the certificate checker against a frozen reference.
 
 The reference below is ``lcbayes.ratlp.check_certificate`` as it was
-while it summed one ``Fraction`` per multiply-add; the checker now sums
-integer numerators over one denominator per vector and per row.  Both
-must accept exactly the same solutions and refuse the others with the
-same first message, because they make the same checks in the same order
-on the same exact values.
+while it summed one ``Fraction`` per multiply-add, over nonnegative
+variables; the checker now sums integer numerators over one denominator
+per vector and per row.  Both must accept exactly the same solutions and
+refuse the others with the same first message, because they make the
+same checks in the same order on the same exact values.
 
 The solutions come from the random LPs of
 ``test_ratlp.test_randomized_instances_all_certified`` and from the prior
@@ -33,7 +33,7 @@ LEQ = "<="
 
 
 # ----------------------------------------------------------------------
-# the reference: the Fraction checker, unchanged
+# the reference: the Fraction checker
 # ----------------------------------------------------------------------
 
 
@@ -61,8 +61,7 @@ def reference_check_certificate(p: LPProblem, sol: LPSolution):
 
     # primal feasibility and value
     for j, v in enumerate(zip(x, x_eta)):
-        if p.lower[j] is not None:
-            _require(v >= (0, 0), f"variable {j} below lower bound")
+        _require(v >= (0, 0), f"variable {j} below lower bound")
     for i, row in enumerate(p.rows):
         lhs, b = (_dot(row, x), _dot(row, x_eta)), (p.rhs[i], p.rhs_eta[i])
         _require(lhs <= b if p.relations[i] == LEQ else lhs == b, f"row {i} violated")
@@ -70,16 +69,12 @@ def reference_check_certificate(p: LPProblem, sol: LPSolution):
     _require((_dot(p.objective, x), _dot(p.objective, x_eta)) == value,
              "objective value mismatch")
 
-    # dual feasibility: y >= 0 on <= rows, y . A_j >= c_j, with equality if x_j is free
+    # dual feasibility: y >= 0 on <= rows, y . A_j >= c_j
     for i, rel in enumerate(p.relations):
         if rel == LEQ:
             _require(y[i] >= 0, f"dual sign wrong on <= row {i}")
     for j, c in enumerate(p.objective):
-        column = _dot([row[j] for row in p.rows], y)
-        if p.lower[j] is None:
-            _require(column == c, f"dual constraint {j} not tight for free variable")
-        else:
-            _require(column >= c, f"dual constraint {j} violated")
+        _require(_dot([row[j] for row in p.rows], y) >= c, f"dual constraint {j} violated")
 
     _require((_dot(y, p.rhs), _dot(y, p.rhs_eta)) == value, "duality gap nonzero")
 
@@ -105,7 +100,7 @@ def tampered(solution: LPSolution):
     """The solution with one entry of x, x_eta or y, or one part of the
     value, moved by each of SHIFTS; and with one entry of x, x_eta or y
     halved, which keeps its sign (a small dual of a scaled row moved by
-    -1/2 turns negative, and never reaches the free-variable check)."""
+    -1/2 turns negative, and never reaches the dual constraints)."""
     for name in ("x", "x_eta", "row_duals"):
         vector = getattr(solution, name)
         for i in range(len(vector)):
@@ -135,7 +130,7 @@ def assert_checkers_agree(problem: LPProblem, solution: LPSolution, seen: set):
 # every refusal of a tampered solution of the right length
 REFUSALS = {"variable {} below lower bound", "row {} violated", "objective value mismatch",
             "dual sign wrong on <= row {}", "dual constraint {} violated",
-            "dual constraint {} not tight for free variable", "duality gap nonzero"}
+            "duality gap nonzero"}
 
 
 def test_random_lps_checked_as_the_reference_checks():
@@ -151,8 +146,7 @@ def test_random_lps_checked_as_the_reference_checks():
                 for _ in range(m)]
         relations = [rng.choice(["<=", "="]) for _ in range(m)]
         rhs = [F(rng.randint(0, 6), rng.randint(1, 2)) for _ in range(m)]
-        lower = [None if rng.random() < 0.25 else 0 for _ in range(n)]
-        problem = LPProblem.build(objective, rows, relations, rhs, lower=lower)
+        problem = LPProblem.build(objective, rows, relations, rhs)
         try:
             solution = solve_lp(problem)
         except CertificateError:
@@ -200,5 +194,4 @@ def test_game_lps_checked_as_the_reference_checks(monkeypatch):
         for lp, solution in game_lps(monkeypatch, problem, rules):
             assert any(lp.rhs_eta)
             assert_checkers_agree(lp, solution, seen)
-    # a moved dual unties the column of a free m_x, too
     assert REFUSALS <= seen

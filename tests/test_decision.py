@@ -168,8 +168,7 @@ def reference_game_lp(model, loss, candidate_risks) -> LPProblem:
             relations.append("<=")
             rhs.append(F(0))
             rhs_eta.append(den * sum(column))
-    return LPProblem.build(objective, rows, relations, rhs,
-                           lower=[F(0)] * n_states + [None] * n_obs, rhs_eta=rhs_eta)
+    return LPProblem.build(objective, rows, relations, rhs, rhs_eta=rhs_eta)
 
 
 def reference_dominated(model, loss, x: int, a: int) -> bool:

@@ -24,7 +24,7 @@ import sys
 from fractions import Fraction
 from fractions import Fraction as F
 from pathlib import Path
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import lcbayes.priors
 from lcbayes.decision import (FiniteProblem, Prior, Procedure, problem_from_json,
@@ -62,11 +62,11 @@ def uniform_improvement_lp(problem: FiniteProblem,
                            procedure: Procedure) -> Tuple[Fraction, Procedure]:
     """The largest uniform risk improvement available over the candidate.
 
-    Solves: maximize e over randomized rules D with
+    Solves: maximize e >= 0 over randomized rules D with
     risk(theta, D) <= risk(theta, candidate) - e for every theta.
-    Taking D = candidate shows e = 0 is always feasible, so the optimum
-    is >= 0; the candidate is extended admissible (among all randomized
-    procedures) exactly when the optimum is 0.
+    Taking D = candidate shows e = 0 is always feasible, so the bound
+    e >= 0 loses nothing; the candidate is extended admissible (among
+    all randomized procedures) exactly when the optimum is 0.
     """
     target = risk_vector(problem, procedure)
     n_obs, n_act = problem.n_observations, problem.n_actions
@@ -93,9 +93,7 @@ def uniform_improvement_lp(problem: FiniteProblem,
         relations.append(EQ)
         rhs.append(Fraction(1))
 
-    lower: list[Optional[Fraction]] = [None] + [Fraction(0)] * (n_obs * n_act)
-    lp = LPProblem.build(objective, rows, relations, rhs, lower=lower)
-    sol = solve_lp(lp)
+    sol = solve_lp(LPProblem.build(objective, rows, relations, rhs))
     witness = _procedure_from_values(problem, sol.x, offset=1)
     return sol.objective_value, witness
 

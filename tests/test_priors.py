@@ -211,6 +211,15 @@ def corrupting(monkeypatch, corrupt):
     (fp2, Procedure.nonrandomized([1]),
      lambda v: v.replace(improver=Procedure.randomized([[0, 1]])),
      "does not improve uniformly"),
+    # the improver always-a1 taken twice: a1's score column is zero, so its
+    # risks, slacks and the epsilon*-Bayes test are always-a1's
+    (flat, Procedure.nonrandomized([1]),
+     lambda v: v.replace(improver=Procedure("randomized", matrix_rows=((F(2), F(0)),))),
+     "the improver is not a randomized rule"),
+    # weights (2, -1) sum to 1 but are no rule
+    (flat, Procedure.nonrandomized([1]),
+     lambda v: v.replace(improver=Procedure("randomized", matrix_rows=((F(2), F(-1)),))),
+     "the improver is not a randomized rule"),
     # the witness prior (1/2, 1/2) moved to t1, where always-a1 beats the
     # candidate's Bayes risk 1/2 by 1/2 > eps* = 0
     (fp1, rule(F(1, 2)),
@@ -224,7 +233,8 @@ def corrupting(monkeypatch, corrupt):
      lambda v: v.replace(candidate_risks=v.candidate_risks[::-1]),
      "candidate risks are not the candidate's"),
 ], ids=["eps-low", "eps-high", "slack-high", "slack-zero", "improver-flat",
-        "improver-fp2", "prior-weight", "candidate-risks"])
+        "improver-fp2", "improver-twice", "improver-negative", "prior-weight",
+        "candidate-risks"])
 def test_classify_rejects_corrupted_verdict(monkeypatch, problem, candidate, corrupt,
                                             message):
     # one problem for both calls: its score table, built by the first,

@@ -40,14 +40,11 @@ def test_equality_and_upper_bound():
     sol = solve_lp(LPProblem.build([2, 3], [[1, 1], [1, 0]], ["=", "<="], [1, F(1, 4)]))
     assert sol.x == (F(0), F(1))
     assert sol.objective_value == 3
-    # an upper bound is a row: build takes no upper bounds
-    with pytest.raises(TypeError):
-        LPProblem.build([1], [[1]], ["<="], [1], upper=[None])
-
-
-def test_free_variable():
-    sol = solve_lp(LPProblem.build([-1], [[-1]], ["<="], [5], lower=[None]))
-    assert sol.x == (F(-5),)
+    # an upper bound is a row: build takes no upper bounds, and no lower
+    # ones either, as every variable is nonnegative
+    for bounds in ({"upper": [None]}, {"lower": [None]}):
+        with pytest.raises(TypeError):
+            LPProblem.build([1], [[1]], ["<="], [1], **bounds)
 
 
 def test_degenerate_three_variable_instance():
@@ -91,8 +88,6 @@ def test_dimension_mismatch():
         LPProblem.build([1, 2], [[1]], ["<="], [1])
     with pytest.raises(MalformedProblem):
         LPProblem.build([1], [[1]], ["<>"], [1])
-    with pytest.raises(MalformedProblem):
-        LPProblem.build([1], [[1]], ["<="], [1], lower=[F(1)])
 
 
 @pytest.mark.parametrize("kwargs, message", [
@@ -109,23 +104,21 @@ def test_build_refuses_other_shapes(kwargs, message):
 
 def test_build_keeps_ints_as_ints():
     p = LPProblem.build([1, -F(1, 2)], [[2, -3], [F(3, 4), 0]], ["<=", "="], [4, F(5, 2)],
-                        lower=[0, None], rhs_eta=[F(1, 3), 0])
+                        rhs_eta=[F(1, 3), 0])
     assert [type(v) for v in p.objective] == [int, F]
     assert [[type(v) for v in row] for row in p.rows] == [[int, int], [F, int]]
     assert [type(v) for v in p.rhs] == [int, F]
     assert [type(v) for v in p.rhs_eta] == [F, int]
     assert p == LPProblem.build([F(1), -F(1, 2)], [[F(2), F(-3)], [F(3, 4), F(0)]],
-                                ["<=", "="], [F(4), F(5, 2)], lower=[F(0), None],
-                                rhs_eta=[F(1, 3), F(0)])
+                                ["<=", "="], [F(4), F(5, 2)], rhs_eta=[F(1, 3), F(0)])
     sol = solve_lp(p)
     assert (sol.objective_value, sol.objective_value_eta) == (F(26, 9), F(1, 18))
 
 
-@pytest.mark.parametrize("field", ["objective", "rows", "rhs", "lower", "rhs_eta"])
+@pytest.mark.parametrize("field", ["objective", "rows", "rhs", "rhs_eta"])
 def test_build_refuses_a_bool(field):
     # bool is an int subclass, but True is no LP coefficient (it read 1)
-    args = {"objective": [1], "rows": [[1]], "relations": ["<="], "rhs": [1],
-            "lower": [0], "rhs_eta": [0]}
+    args = {"objective": [1], "rows": [[1]], "relations": ["<="], "rhs": [1], "rhs_eta": [0]}
     args[field] = [[True]] if field == "rows" else [True]
     with pytest.raises(MalformedProblem, match="expected exact rational, got bool"):
         LPProblem.build(**args)
@@ -189,7 +182,6 @@ def twin_state_game(monkeypatch):
     synthesize_prior(problem, Procedure.nonrandomized([1]))
     monkeypatch.undo()
     (lp,) = seen
-    assert lp.lower == (0, 0, None)  # pi'_s, pi'_t >= 0 and a free m_x
     assert len(lp.rows) == 2
     return lp, solve_lp(lp)
 
@@ -202,16 +194,6 @@ def test_checker_rejects_a_negative_prior_weight(monkeypatch):
     # lower bound of 0 refuses it
     bad = good.replace(x=(F(2), F(-1), F(0)))
     with pytest.raises(CertificateError, match="variable 1 below lower bound"):
-        check_certificate(lp, bad)
-
-
-def test_checker_rejects_a_slack_dual_constraint_on_a_free_variable(monkeypatch):
-    lp, good = twin_state_game(monkeypatch)
-    assert good.row_duals == (F(-1), F(1))
-    # doubling the dual of the (x, a) row m_x <= 0 keeps every sign, every
-    # pi' column and the duality gap, but prices m_x's column at 2 > 1
-    bad = good.replace(row_duals=(F(-1), F(2)))
-    with pytest.raises(CertificateError, match="dual constraint 2 not tight for free variable"):
         check_certificate(lp, bad)
 
 
@@ -272,9 +254,8 @@ def test_randomized_instances_all_certified():
                 for _ in range(m)]
         relations = [rng.choice(["<=", "="]) for _ in range(m)]
         rhs = [F(rng.randint(0, 6), rng.randint(1, 2)) for _ in range(m)]
-        lower = [None if rng.random() < 0.25 else 0 for _ in range(n)]
         try:
-            solve_lp(LPProblem.build(objective, rows, relations, rhs, lower=lower))
+            solve_lp(LPProblem.build(objective, rows, relations, rhs))
             outcomes["optimal"] += 1
         except CertificateError as err:
             outcomes[str(err).split()[-1]] += 1

@@ -9,9 +9,14 @@ Bland's entering rule and the same leaving tie-break on exact values, so
 they visit the same bases and every field of the solution must agree
 exactly, not just the optimal value.  The LPs are of the solver's one
 shape, the prior game's: ``=`` and ``<=`` rows with a nonnegative
-right-hand side, nonnegative and free variables.  Where the reference
-finds no feasible point or an unbounded objective, the solver must raise
+right-hand side, over nonnegative variables.  Where the reference finds
+no feasible point or an unbounded objective, the solver must raise
 ``CertificateError`` saying so.
+
+The reference can also take chosen variables as free, each split into
+x+ - x-.  The prior game with its m_x free must give exactly the
+solution that the solver finds with m_x >= 0, as
+:func:`lcbayes.priors.synthesize_prior` argues.
 
 A right-hand side with an eta part, b + eta * b_eta for a positive
 infinitesimal eta, is checked against the reference solving the same LP
@@ -25,7 +30,7 @@ only: in the solver it would be wrong above that threshold.
 import random
 from fractions import Fraction
 from fractions import Fraction as F
-from typing import Optional, Sequence, Tuple
+from typing import Collection, Optional, Sequence, Tuple
 
 import pytest
 
@@ -44,15 +49,15 @@ OPTIMAL, INFEASIBLE, UNBOUNDED = "optimal", "infeasible", "unbounded"
 
 
 class _Normalized:
-    """Equality-form tableau data: free variables split."""
+    """Equality-form tableau data: the variables in ``free`` split."""
 
-    def __init__(self, p: LPProblem):
+    def __init__(self, p: LPProblem, free: Collection[int] = ()):
         self.problem = p
         n = p.n_vars()
         self.var_cols: list[Tuple[int, Optional[int]]] = []
         col = 0
         for j in range(n):
-            if p.lower[j] is None:
+            if j in free:
                 self.var_cols.append((col, col + 1))
                 col += 2
             else:
@@ -200,15 +205,17 @@ class _Tableau:
         return out
 
 
-def reference_solve(problem: LPProblem, events: Optional[set] = None) -> Tuple[str, dict]:
+def reference_solve(problem: LPProblem, events: Optional[set] = None,
+                    free: Collection[int] = ()) -> Tuple[str, dict]:
     """The outcome, and for an optimum the solution's standard fields,
-    keyed by their ``LPSolution`` names.
+    keyed by their ``LPSolution`` names, with the variables in ``free``
+    free.
 
     ``events`` collects the purge cases met: "negative purge pivot" and
     "dropped row".
     """
     events = set() if events is None else events
-    norm = _Normalized(problem)
+    norm = _Normalized(problem, free)
     tab = _Tableau(norm)
 
     cost1 = [Fraction(0)] * tab.n_cols
@@ -284,15 +291,17 @@ def assert_same_solution(problem: LPProblem, events: Optional[set] = None) -> st
 REFERENCE_ETA = F(1, 10 ** 40)
 
 
-def assert_eta_solution_matches(problem: LPProblem, events: Optional[set] = None) -> str:
-    """Solve an LP with an eta part; the reference solves it at eta = REFERENCE_ETA.
+def assert_eta_solution_matches(problem: LPProblem, events: Optional[set] = None,
+                                free: Collection[int] = ()) -> str:
+    """Solve an LP with an eta part; the reference solves it at eta =
+    REFERENCE_ETA, with the variables in ``free`` free.
 
     The duals are rational and must be equal; the reference's point and
     value must equal standard part + eta * eta part.  Returns the outcome.
     """
     rhs = [b + REFERENCE_ETA * e for b, e in zip(problem.rhs, problem.rhs_eta)]
     outcome, want = reference_solve(
-        problem.replace(rhs=tuple(rhs), rhs_eta=(F(0),) * len(rhs)), events)
+        problem.replace(rhs=tuple(rhs), rhs_eta=(F(0),) * len(rhs)), events, free)
     if outcome != OPTIMAL:
         with pytest.raises(CertificateError, match=f"the LP is {outcome}"):
             solve_lp(problem)
@@ -311,8 +320,8 @@ def assert_eta_solution_matches(problem: LPProblem, events: Optional[set] = None
 
 def random_lp(rng: random.Random, eta: bool = False) -> LPProblem:
     """A small LP of the prior game's shape: ``=`` and ``<=`` rows with a
-    nonnegative right-hand side, nonnegative and free variables and,
-    sometimes, a redundant equality row.
+    nonnegative right-hand side, nonnegative variables and, sometimes, a
+    redundant equality row.
 
     With ``eta`` the right-hand side gets an eta part.  Some rows get
     b = 0, so that b_eta alone is the right-hand side; others get b > 0
@@ -345,22 +354,20 @@ def random_lp(rng: random.Random, eta: bool = False) -> LPProblem:
         relations.append(EQ)
         rhs.append(k * rhs[i])
         rhs_eta.append(k * rhs_eta[i])
-    lower = [None if rng.random() < 0.25 else 0 for _ in range(n)]
-    return LPProblem.build(objective, rows, relations, rhs, lower=lower, rhs_eta=rhs_eta)
+    return LPProblem.build(objective, rows, relations, rhs, rhs_eta=rhs_eta)
 
 
 def test_random_lps_match_reference():
     rng = random.Random(19680101)
     outcomes = dict.fromkeys((OPTIMAL, INFEASIBLE, UNBOUNDED), 0)
-    features = {"free variable": 0, "zero rhs": 0}
+    zero_rhs = 0
     events: set = set()
     for _ in range(400):
         problem = random_lp(rng)
         outcomes[assert_same_solution(problem, events)] += 1
-        features["free variable"] += any(b is None for b in problem.lower)
-        features["zero rhs"] += any(b == 0 for b in problem.rhs)
+        zero_rhs += any(b == 0 for b in problem.rhs)
     assert all(count > 0 for count in outcomes.values()), outcomes
-    assert all(count > 0 for count in features.values()), features
+    assert zero_rhs > 0
     assert events == {"negative purge pivot", "dropped row"}
 
 
@@ -407,7 +414,8 @@ def random_problem(rng: random.Random, n_states: int, n_obs: int,
 def classify_lps(monkeypatch, problem: FiniteProblem, procedures) -> tuple:
     """The LPs that classify solves, and its reports.
 
-    Each verdict solves one LP: the prior game with floored weights.
+    Each verdict solves one LP: the prior game with floored weights, its
+    variables pi' first and then one m_x per observation.
     """
     seen = []
 
@@ -430,8 +438,10 @@ def test_classify_lps_match_reference(monkeypatch):
     large_rules = [Procedure.nonrandomized([rng.randrange(5) for _ in range(10)])]
     small_lps, small_reports = classify_lps(monkeypatch, small, small_rules)
     large_lps, large_reports = classify_lps(monkeypatch, large, large_rules)
-    lps = small_lps + large_lps
-    assert len(lps) == len(small_reports + large_reports)
-    for lp in lps:
+    games = [(lp, small) for lp in small_lps] + [(lp, large) for lp in large_lps]
+    assert len(games) == len(small_reports + large_reports)
+    for lp, problem in games:
         assert any(lp.rhs_eta)
         assert_eta_solution_matches(lp)
+        # the same solution as the game with free m_x
+        assert_eta_solution_matches(lp, free=range(problem.n_states, lp.n_vars()))
